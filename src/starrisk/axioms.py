@@ -14,7 +14,7 @@ collapse check that subadditivity plus star-shapedness force positive
 homogeneity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +29,6 @@ SHIFT_GRID = (-2.5, -1.0, 0.5, 3.0)
 #: Mixing weights used for convexity probes.
 WEIGHT_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
-SUPPORTED_PROPERTIES = (
-    "monotone",
-    "translation_invariant",
-    "normalized",
-    "positively_homogeneous",
-    "subadditive",
-    "convex",
-    "star_shaped",
-)
-
 
 class SearchError(ValueError):
     """A bracketing search could not be made decisive."""
@@ -50,6 +40,7 @@ class AxiomReport:
 
     ``witness`` is None unless the verdict is ``violated``; then it holds
     plain lists/floats sufficient to replay the violating evaluation.
+    ``rows`` is None unless the check records one row per probe.
     """
 
     property_name: str
@@ -57,6 +48,7 @@ class AxiomReport:
     tolerance: float
     probes_used: int
     witness: dict | None = None
+    rows: list | None = None
 
     def to_dict(self):
         out = {
@@ -67,6 +59,8 @@ class AxiomReport:
         }
         if self.witness is not None:
             out["witness"] = self.witness
+        if self.rows is not None:
+            out["rows"] = self.rows
         return out
 
 
@@ -127,107 +121,120 @@ def _pairs(profiles):
                 yield a, b
 
 
+def _witness(x, **extra):
+    out = {"x": x.values.tolist(), "probs": x.space.probs.tolist()}
+    for k, v in extra.items():
+        out[k] = v.tolist() if isinstance(v, np.ndarray) else v
+    return out
+
+
+def _first_violation(name, cases, tol):
+    """Report on ``cases``: one witness dict per failed check, None per
+    passed one.  The first failure stops the scan."""
+    used = 0
+    for witness in cases:
+        used += 1
+        if witness is not None:
+            return AxiomReport(name, "violated", tol, used, witness)
+    return AxiomReport(name, "holds_on_sample", tol, used)
+
+
+def _normalized_cases(rho, xs, scalars, tol):
+    for n in sorted({x.space.n for x in xs}):
+        v = rho(LossProfile(StateSpace.uniform(n), np.zeros(n)))
+        yield {"n": n, "rho_zero": v} if abs(v) > tol else None
+
+
+def _monotone_cases(rho, xs, scalars, tol):
+    for a, b in _pairs(xs):
+        bigger = a + LossProfile(a.space, np.abs(b.values), _validate=False)
+        va, vb = rho(a), rho(bigger)
+        bad = va > vb + tol
+        yield _witness(a, rho_x=va, y=bigger.values, rho_y=vb) if bad else None
+
+
+def _translation_cases(rho, xs, scalars, tol):
+    for x in xs:
+        vx = rho(x)
+        for m in SHIFT_GRID:
+            shifted = rho(x - m)
+            bad = abs(shifted - (vx - m)) > tol
+            yield _witness(x, rho_x=vx, shift=m, rho_shifted=shifted) if bad else None
+
+
+def _scaling_cases(bad):
+    """Cases comparing rho(lam * x) with lam * rho(x), judged by ``bad``."""
+
+    def cases(rho, xs, scalars, tol):
+        for x in xs:
+            vx = rho(x)
+            for lam in scalars:
+                scaled = rho(lam * x)
+                hit = bad(lam, vx, scaled, tol)
+                yield _witness(x, rho_x=vx, scale=lam, rho_scaled=scaled) if hit else None
+
+    return cases
+
+
+def _subadditive_cases(rho, xs, scalars, tol):
+    for a, b in _pairs(xs):
+        va, vb, vs = rho(a), rho(b), rho(a + b)
+        bad = vs > va + vb + tol
+        yield _witness(a, rho_x=va, y=b.values, rho_y=vb, rho_sum=vs) if bad else None
+
+
+def _convex_cases(rho, xs, scalars, tol):
+    for a, b in _pairs(xs):
+        va, vb = rho(a), rho(b)
+        for w in WEIGHT_GRID:
+            mixed = rho(w * a + (1.0 - w) * b)
+            bad = mixed > w * va + (1.0 - w) * vb + tol
+            yield (_witness(a, rho_x=va, y=b.values, rho_y=vb, weight=w,
+                            rho_mix=mixed) if bad else None)
+
+
+def _deleverage_cases(rho, xs, scalars, tol):
+    for x in xs:
+        if rho(x) > 0.0:
+            continue
+        for a in scalars:
+            if a < 1.0:
+                v = rho(a * x)
+                yield _witness(x, scale=a, rho_scaled=v) if v > tol else None
+
+
+#: Property -> case generator over (rho, usable probes, dilation grid, tol).
+_CASES = {
+    "monotone": _monotone_cases,
+    "translation_invariant": _translation_cases,
+    "normalized": _normalized_cases,
+    "positively_homogeneous": _scaling_cases(
+        lambda lam, vx, scaled, tol: abs(scaled - lam * vx) > tol
+    ),
+    "subadditive": _subadditive_cases,
+    "convex": _convex_cases,
+    # Above 1 the dilation bound, below 1 the contraction bound.
+    "star_shaped": _scaling_cases(
+        lambda lam, vx, scaled, tol: (lam > 1.0 and scaled < lam * vx - tol)
+        or (lam < 1.0 and scaled > lam * vx + tol)
+    ),
+}
+
+SUPPORTED_PROPERTIES = tuple(_CASES)
+
+
 def check_axiom(rho, which, probes, tol=1e-9):
     """Test the defining inequality of ``which`` on all applicable probes.
 
     Returns an :class:`AxiomReport`; the first violation beyond ``tol``
     stops the scan and is recorded as the witness.
     """
-    if which not in SUPPORTED_PROPERTIES:
+    if which not in _CASES:
         raise DomainError(
             "unsupported property %r; expected one of %s" % (which, SUPPORTED_PROPERTIES)
         )
-    xs = _usable(rho, probes)
-    used = 0
-    witness = None
-
-    def report(verdict):
-        return AxiomReport(which, verdict, tol, used, witness)
-
-    if which == "normalized":
-        for n in sorted({x.space.n for x in xs}):
-            used += 1
-            zero = LossProfile(StateSpace.uniform(n), np.zeros(n))
-            v = rho(zero)
-            if abs(v) > tol:
-                witness = {"n": n, "rho_zero": v}
-                return report("violated")
-        return report("holds_on_sample")
-
-    if which == "monotone":
-        for a, b in _pairs(xs):
-            used += 1
-            bigger = a + LossProfile(a.space, np.abs(b.values), _validate=False)
-            va, vb = rho(a), rho(bigger)
-            if va > vb + tol:
-                witness = _witness(a, rho_x=va, y=bigger.values, rho_y=vb)
-                return report("violated")
-        return report("holds_on_sample")
-
-    if which == "translation_invariant":
-        for x in xs:
-            vx = rho(x)
-            for m in SHIFT_GRID:
-                used += 1
-                shifted = rho(x - m)
-                if abs(shifted - (vx - m)) > tol:
-                    witness = _witness(x, rho_x=vx, shift=m, rho_shifted=shifted)
-                    return report("violated")
-        return report("holds_on_sample")
-
-    if which == "positively_homogeneous":
-        for x in xs:
-            vx = rho(x)
-            for lam in probes.scalars:
-                used += 1
-                scaled = rho(lam * x)
-                if abs(scaled - lam * vx) > tol:
-                    witness = _witness(x, rho_x=vx, scale=lam, rho_scaled=scaled)
-                    return report("violated")
-        return report("holds_on_sample")
-
-    if which == "star_shaped":
-        for x in xs:
-            vx = rho(x)
-            for lam in probes.scalars:
-                used += 1
-                scaled = rho(lam * x)
-                # Above 1 the dilation bound, below 1 the contraction bound.
-                bad_up = lam > 1.0 and scaled < lam * vx - tol
-                bad_down = lam < 1.0 and scaled > lam * vx + tol
-                if bad_up or bad_down:
-                    witness = _witness(x, rho_x=vx, scale=lam, rho_scaled=scaled)
-                    return report("violated")
-        return report("holds_on_sample")
-
-    if which == "subadditive":
-        for a, b in _pairs(xs):
-            used += 1
-            va, vb, vs = rho(a), rho(b), rho(a + b)
-            if vs > va + vb + tol:
-                witness = _witness(a, rho_x=va, y=b.values, rho_y=vb, rho_sum=vs)
-                return report("violated")
-        return report("holds_on_sample")
-
-    # convex
-    for a, b in _pairs(xs):
-        va, vb = rho(a), rho(b)
-        for w in WEIGHT_GRID:
-            used += 1
-            mixed = rho(w * a + (1.0 - w) * b)
-            if mixed > w * va + (1.0 - w) * vb + tol:
-                witness = _witness(
-                    a, rho_x=va, y=b.values, rho_y=vb, weight=w, rho_mix=mixed
-                )
-                return report("violated")
-    return report("holds_on_sample")
-
-
-def _witness(x, **extra):
-    out = {"x": x.values.tolist(), "probs": x.space.probs.tolist()}
-    for k, v in extra.items():
-        out[k] = v.tolist() if isinstance(v, np.ndarray) else v
-    return out
+    cases = _CASES[which](rho, _usable(rho, probes), probes.scalars, tol)
+    return _first_violation(which, cases, tol)
 
 
 def risk_to_exposure(rho, x, grid):
@@ -258,22 +265,10 @@ def measure_from_acceptance(accept, x, lo=None, hi=None, tol=1e-9, max_expand=60
     hi = float(np.max(x.values)) if hi is None else float(hi)
     if hi <= lo:
         hi = lo + 1.0
-    span = hi - lo
-    expand = 0
-    while not accept(x - hi):
-        hi += span
-        span *= 2.0
-        expand += 1
-        if expand > max_expand:
-            raise SearchError("no acceptable cash translation found (upper bracket)")
-    span = hi - lo
-    expand = 0
-    while accept(x - lo):
-        lo -= span
-        span *= 2.0
-        expand += 1
-        if expand > max_expand:
-            raise SearchError("every cash translation acceptable (lower bracket)")
+    hi = _expand(accept, x, hi, hi - lo, True, max_expand,
+                 "no acceptable cash translation found (upper bracket)")
+    lo = _expand(accept, x, lo, lo - hi, False, max_expand,
+                 "every cash translation acceptable (lower bracket)")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if accept(x - mid):
@@ -283,27 +278,25 @@ def measure_from_acceptance(accept, x, lo=None, hi=None, tol=1e-9, max_expand=60
     return 0.5 * (lo + hi)
 
 
+def _expand(accept, x, edge, step, accepted, max_expand, message):
+    """Move ``edge`` by ``step``, doubling it each time, until membership
+    of x - edge equals ``accepted``."""
+    for _ in range(max_expand + 1):
+        if bool(accept(x - edge)) == accepted:
+            return edge
+        edge += step
+        step *= 2.0
+    raise SearchError(message)
+
+
 def star_acceptance_check(rho, probes, tol=1e-9):
     """Deleveraging law: alpha * X stays acceptable for acceptable X.
 
     For each probe with rho(X) <= 0 and each contraction factor in the
     grid, asserts rho(alpha * X) <= tol.
     """
-    used = 0
-    for x in _usable(rho, probes):
-        if rho(x) > 0.0:
-            continue
-        for a in probes.scalars:
-            if not a < 1.0:
-                continue
-            used += 1
-            v = rho(a * x)
-            if v > tol:
-                return AxiomReport(
-                    "star_acceptance", "violated", tol, used,
-                    _witness(x, scale=a, rho_scaled=v),
-                )
-    return AxiomReport("star_acceptance", "holds_on_sample", tol, used)
+    cases = _deleverage_cases(rho, _usable(rho, probes), probes.scalars, tol)
+    return _first_violation("star_acceptance", cases, tol)
 
 
 def coherent_collapse_check(rho, probes, tol=1e-9):

@@ -49,14 +49,12 @@ from .aggregate import (
     sup_capacity,
 )
 from .envelope import envelope_family, envelope_member_measure, \
-    envelope_probe_report, min_representation_check
+    min_representation_check
 from .optimize import ActionLossTable, decomposition_check, minimize_risk, \
     robust_minimize
 
 __all__ = ["main", "CliInputError"]
 
-AGGREGATE_KINDS = ("choquet", "blend", "margin", "infconv")
-_SAMPLING_COMMANDS = ("axioms", "envelope", "infconv", "margin")
 _AXIOM_PROBES = 60
 _ENVELOPE_PROBES = 12
 
@@ -123,7 +121,7 @@ def _parse_float(cell, row, column):
 
 
 def load_scenarios(path):
-    """CSV to (state labels, StateSpace, ordered {name: LossProfile})."""
+    """CSV to (StateSpace, ordered {name: LossProfile})."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -141,7 +139,6 @@ def load_scenarios(path):
         raise CliInputError("need at least one loss column after 'prob'")
     if len(names) != len(set(names)):
         raise CliInputError("duplicate loss column names")
-    labels = []
     probs = []
     columns = {name: [] for name in names}
     for r, row in enumerate(rows[1:], start=2):
@@ -149,7 +146,6 @@ def load_scenarios(path):
             raise CliInputError(
                 "row %d has %d fields, expected %d" % (r, len(row), len(header))
             )
-        labels.append(row[0])
         probs.append(_parse_float(row[1], r, "prob"))
         for name, cell in zip(names, row[2:]):
             columns[name].append(_parse_float(cell, r, name))
@@ -157,7 +153,7 @@ def load_scenarios(path):
         raise CliInputError("%s has a header but no scenario rows" % path)
     space = StateSpace(probs)  # validates mass and positivity
     profiles = {n: LossProfile(space, v) for n, v in columns.items()}
-    return labels, space, profiles
+    return space, profiles
 
 
 def load_spec(path):
@@ -227,52 +223,56 @@ def _member_family(entry, built, space):
     return MeasureFamily(members, space)
 
 
-def _build_one(entry, built, space, seed):
-    kind = _need(entry, "kind")
-    name = entry["name"]
-    if kind == "var":
-        return var_measure(float(_need(entry, "beta")))
-    if kind == "es":
-        return es_measure(float(_need(entry, "beta")))
-    if kind == "maxvar":
-        return max_var_measure(_need(entry, "members"), float(_need(entry, "beta")))
-    if kind == "medvar":
-        return med_var_measure(_need(entry, "members"), float(_need(entry, "beta")))
-    if kind == "lvar":
-        steps = [(float(t), float(a)) for t, a in _need(entry, "benchmark_steps")]
-        return lvar_measure(LossBenchmark(steps))
-    if kind == "shortfall":
-        knots = [(float(x), float(u)) for x, u in _need(entry, "utility_knots")]
-        return shortfall_measure(Utility(knots))
-    if kind == "entropic":
-        return entropic_measure(float(_need(entry, "lambda")))
-    if kind == "mean":
-        return mean_measure()
-    if kind == "worst_case":
-        return worst_case_measure()
-    if kind == "choquet":
-        fam = _member_family(entry, built, space)
-        mu = _capacity_from(
-            _need(entry, "capacity"), fam.size, "measure %r" % name
+def _beta(entry):
+    return float(_need(entry, "beta"))
+
+
+def _number_pairs(entry, field):
+    return [(float(a), float(b)) for a, b in _need(entry, field)]
+
+
+def _choquet(entry, fam, seed):
+    mu = _capacity_from(
+        _need(entry, "capacity"), fam.size, "measure %r" % entry["name"]
+    )
+    return choquet_measure(fam, mu, name=entry["name"])
+
+
+def _infconv(entry, fam, seed):
+    if seed is None:
+        raise CliInputError(
+            "measure %r: kind 'infconv' is solver backed and needs --seed"
+            % entry["name"]
         )
-        return choquet_measure(fam, mu, name=name)
-    if kind == "blend":
-        fam = _member_family(entry, built, space)
-        return ecb_blend_measure(fam, float(_need(entry, "weight")), name=name)
-    if kind == "infconv":
-        fam = _member_family(entry, built, space)
-        if seed is None:
-            raise CliInputError(
-                "measure %r: kind 'infconv' is solver backed and needs --seed"
-                % name
-            )
-        return infconv_measure(fam, SolverConfig(seed=seed), name=name)
-    if kind == "margin":
-        # measure form uses all singletons: the minimum of the members
-        fam = _member_family(entry, built, space)
-        singles = [(i,) for i in range(fam.size)]
-        return ccp_margin_measure(fam, singles, name=name)
-    raise CliInputError("measure %r: unknown kind %r" % (name, kind))
+    return infconv_measure(fam, SolverConfig(seed=seed), name=entry["name"])
+
+
+# Spec kind -> (builder, aggregate).  A builder takes (entry, family, seed);
+# the family is the MeasureFamily of an aggregate's members, else None.
+# Builders look the *_measure factories up when called, so a factory that is
+# wrapped in this module's namespace (as perfbench's tracer does) is the one run.
+_KINDS = {
+    "var": (lambda e, *_: var_measure(_beta(e)), False),
+    "es": (lambda e, *_: es_measure(_beta(e)), False),
+    "maxvar": (lambda e, *_: max_var_measure(_need(e, "members"), _beta(e)), False),
+    "medvar": (lambda e, *_: med_var_measure(_need(e, "members"), _beta(e)), False),
+    "lvar": (lambda e, *_: lvar_measure(
+        LossBenchmark(_number_pairs(e, "benchmark_steps"))), False),
+    "shortfall": (lambda e, *_: shortfall_measure(
+        Utility(_number_pairs(e, "utility_knots"))), False),
+    "entropic": (lambda e, *_: entropic_measure(float(_need(e, "lambda"))), False),
+    "mean": (lambda e, *_: mean_measure(), False),
+    "worst_case": (lambda e, *_: worst_case_measure(), False),
+    "choquet": (_choquet, True),
+    "blend": (lambda e, fam, _: ecb_blend_measure(
+        fam, float(_need(e, "weight")), name=e["name"]), True),
+    # measure form uses all singletons: the minimum of the members
+    "margin": (lambda e, fam, _: ccp_margin_measure(
+        fam, [(i,) for i in range(fam.size)], name=e["name"]), True),
+    "infconv": (_infconv, True),
+}
+
+AGGREGATE_KINDS = tuple(kind for kind, (_, agg) in _KINDS.items() if agg)
 
 
 def build_measures(spec_obj, space, seed):
@@ -294,8 +294,13 @@ def build_measures(spec_obj, space, seed):
             raise CliInputError("every measure needs a nonempty string 'name'")
         if name in built:
             raise CliInputError("duplicate measure name %r" % name)
-        built[name] = _build_one(entry, built, space, seed)
-        kinds[name] = entry["kind"]
+        kind = _need(entry, "kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise CliInputError("measure %r: unknown kind %r" % (name, kind))
+        build, aggregate = _KINDS[kind]
+        fam = _member_family(entry, built, space) if aggregate else None
+        built[name] = build(entry, fam, seed)
+        kinds[name] = kind
     return built, kinds
 
 
@@ -306,108 +311,102 @@ def _metadata(args):
     return {"version": __version__, "seed": args.seed, "tolerance": args.tol}
 
 
-def cmd_eval(args):
-    _, space, profiles = load_scenarios(args.input)
-    measures, _ = build_measures(load_spec(args.spec), space, args.seed)
+def _score(args, wanted):
+    """Value every scenario column under the spec measures whose kind is in
+    ``wanted``: (columns, {name: kind} of those measures, results)."""
+    space, profiles = load_scenarios(args.input)
+    measures, kinds = build_measures(load_spec(args.spec), space, args.seed)
+    scored = {n: rho for n, rho in measures.items() if kinds[n] in wanted}
     results = {
-        col: {name: rho(x) for name, rho in measures.items()}
+        col: {name: rho(x) for name, rho in scored.items()}
         for col, x in profiles.items()
     }
+    return list(profiles), {n: kinds[n] for n in scored}, results
+
+
+def cmd_eval(args):
+    columns, kinds, results = _score(args, _KINDS)
     report = {
         "command": "eval",
         "metadata": _metadata(args),
         "input": args.input,
-        "columns": list(profiles),
-        "measures": list(measures),
+        "columns": columns,
+        "measures": list(kinds),
         "results": results,
     }
     _emit(report, args)
     return 0
 
 
-def cmd_axioms(args):
+def cmd_aggregate(args):
+    _, kinds, results = _score(args, AGGREGATE_KINDS)
+    if not kinds:
+        raise CliInputError("spec contains no aggregate measures")
+    report = {
+        "command": "aggregate",
+        "metadata": _metadata(args),
+        "kinds": kinds,
+        "results": results,
+    }
+    _emit(report, args)
+    return 0
+
+
+def _spec_measures(args):
+    """The spec and its measures, on the --input space when one is given."""
     spec_obj = load_spec(args.spec)
     space = None
     if args.input:
-        _, space, _ = load_scenarios(args.input)
-    measures, _ = build_measures(spec_obj, space, args.seed)
+        space, _ = load_scenarios(args.input)
+    return spec_obj, build_measures(spec_obj, space, args.seed)[0]
+
+
+def _audit(args, measures, count, checks, **fields):
+    """Report ``checks(rho, probes)`` for every measure on ``count`` seeded
+    probes; exit status 1 when any check is violated."""
+    probes = default_probe_set(seed=args.seed, count=count)
+    reports = [
+        dict(rep.to_dict(), measure=name)
+        for name, rho in measures.items()
+        for rep in checks(rho, probes)
+    ]
+    report = {
+        "command": args.command,
+        "metadata": _metadata(args),
+        "measures": list(measures),
+        "reports": reports,
+        **fields,
+    }
+    _emit(report, args)
+    return int(any(r["verdict"] == "violated" for r in reports))
+
+
+def cmd_axioms(args):
+    spec_obj, measures = _spec_measures(args)
     properties = spec_obj.get("properties", ["star_shaped"])
     if not isinstance(properties, list) or not all(
         isinstance(p, str) for p in properties
     ):
         raise CliInputError("'properties' must be a list of property names")
-    probes = default_probe_set(seed=args.seed, count=_AXIOM_PROBES)
-    reports = []
-    worst = 0
-    for name, rho in measures.items():
-        for prop in properties:
-            rep = check_axiom(rho, prop, probes, tol=args.tol)
-            row = rep.to_dict()
-            row["measure"] = name
-            reports.append(row)
-            if rep.verdict == "violated":
-                worst = 1
-    report = {
-        "command": "axioms",
-        "metadata": _metadata(args),
-        "properties": properties,
-        "measures": list(measures),
-        "reports": reports,
-    }
-    _emit(report, args)
-    return worst
-
-
-def cmd_aggregate(args):
-    _, space, profiles = load_scenarios(args.input)
-    measures, kinds = build_measures(load_spec(args.spec), space, args.seed)
-    targets = {n: m for n, m in measures.items() if kinds[n] in AGGREGATE_KINDS}
-    if not targets:
-        raise CliInputError("spec contains no aggregate measures")
-    results = {
-        col: {name: rho(x) for name, rho in targets.items()}
-        for col, x in profiles.items()
-    }
-    report = {
-        "command": "aggregate",
-        "metadata": _metadata(args),
-        "kinds": {n: kinds[n] for n in targets},
-        "results": results,
-    }
-    _emit(report, args)
-    return 0
+    return _audit(
+        args, measures, _AXIOM_PROBES,
+        lambda rho, probes: [
+            check_axiom(rho, prop, probes, tol=args.tol) for prop in properties
+        ],
+        properties=properties,
+    )
 
 
 def cmd_envelope(args):
-    spec_obj = load_spec(args.spec)
-    space = None
-    if args.input:
-        _, space, _ = load_scenarios(args.input)
-    measures, _ = build_measures(spec_obj, space, args.seed)
-    probes = default_probe_set(seed=args.seed, count=_ENVELOPE_PROBES)
-    reports = []
-    worst = 0
-    for name, rho in measures.items():
-        rep = min_representation_check(rho, probes, tol=args.tol)
-        rows = envelope_probe_report(rho, probes, tol=args.tol)
-        entry = rep.to_dict()
-        entry["measure"] = name
-        entry["rows"] = rows
-        reports.append(entry)
-        if rep.verdict == "violated":
-            worst = 1
-    report = {
-        "command": "envelope",
-        "metadata": _metadata(args),
-        "measures": list(measures),
-        "reports": reports,
-    }
-    _emit(report, args)
-    return worst
+    _, measures = _spec_measures(args)
+    return _audit(
+        args, measures, _ENVELOPE_PROBES,
+        lambda rho, probes: [min_representation_check(rho, probes, tol=args.tol)],
+    )
 
 
 def cmd_infconv(args):
-    _, space, profiles = load_scenarios(args.input)
+    space, profiles = load_scenarios(args.input)
     measures, _ = build_measures(load_spec(args.spec), space, args.seed)
     fam = MeasureFamily(list(measures.values()), space)
     gate = normality_check(fam, seed=args.seed)
@@ -441,7 +440,7 @@ def cmd_infconv(args):
 
 
 def cmd_optimize(args):
-    _, space, profiles = load_scenarios(args.input)
+    space, profiles = load_scenarios(args.input)
     measures, _ = build_measures(load_spec(args.spec), space, args.seed)
     table = ActionLossTable(list(profiles), list(profiles.values()))
     if len(measures) == 1:
@@ -450,11 +449,10 @@ def cmd_optimize(args):
         action, value = minimize_risk(target, table)
         gamma_source = target
     else:
-        fam = MeasureFamily(list(measures.values()), space)
-        target = fam
+        target = MeasureFamily(list(measures.values()), space)
         method = "robust"
-        action, value = robust_minimize(fam, table)
-        gamma_source = choquet_measure(fam, sup_capacity(fam.size))
+        action, value = robust_minimize(target, table)
+        gamma_source = choquet_measure(target, sup_capacity(target.size))
     gammas = [
         envelope_member_measure(m)
         for m in envelope_family(gamma_source, table.losses)
@@ -477,7 +475,7 @@ def cmd_optimize(args):
 
 
 def cmd_margin(args):
-    _, space, profiles = load_scenarios(args.input)
+    space, profiles = load_scenarios(args.input)
     spec_obj = load_spec(args.spec)
     measures, _ = build_measures(spec_obj, space, args.seed)
     fam = MeasureFamily(list(measures.values()), space)
@@ -515,14 +513,15 @@ def cmd_margin(args):
     return 0
 
 
+# command -> (handler, --input required, samples so --seed required)
 _COMMANDS = {
-    "eval": (cmd_eval, True),
-    "axioms": (cmd_axioms, False),
-    "aggregate": (cmd_aggregate, True),
-    "envelope": (cmd_envelope, False),
-    "infconv": (cmd_infconv, True),
-    "optimize": (cmd_optimize, True),
-    "margin": (cmd_margin, True),
+    "eval": (cmd_eval, True, False),
+    "axioms": (cmd_axioms, False, True),
+    "aggregate": (cmd_aggregate, True, False),
+    "envelope": (cmd_envelope, False, True),
+    "infconv": (cmd_infconv, True, True),
+    "optimize": (cmd_optimize, True, False),
+    "margin": (cmd_margin, True, True),
 }
 
 
@@ -533,11 +532,12 @@ def _parser():
         "on finite scenario tables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, input_required) in _COMMANDS.items():
+    for name, (_, input_required, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--input", required=input_required,
                        help="scenario CSV (state,prob,<columns...>)")
-        p.add_argument("--spec", required=True, help="measure-spec JSON")
+        p.add_argument("--spec", required=True,
+                       help="measure-spec JSON; kinds: " + ", ".join(_KINDS))
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed; required for sampling-backed commands")
         p.add_argument("--tol", type=float, default=1e-9,
@@ -550,7 +550,8 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    if args.command in _SAMPLING_COMMANDS and args.seed is None:
+    fn, _, samples = _COMMANDS[args.command]
+    if samples and args.seed is None:
         sys.stderr.write(
             "error: command %r samples; --seed is required\n" % args.command
         )
@@ -558,7 +559,6 @@ def main(argv=None):
     if args.tol < 0:
         sys.stderr.write("error: --tol must be nonnegative, got %g\n" % args.tol)
         return 2
-    fn = _COMMANDS[args.command][0]
     try:
         return fn(args)
     except (CliInputError, DomainError) as err:

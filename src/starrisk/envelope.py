@@ -11,13 +11,13 @@ members on finite spaces.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
 from .state_space import DimensionError, DomainError, LossProfile
-from .axioms import AxiomReport
+from .axioms import _first_violation, _usable, check_axiom
 from .measures import RiskEvaluator
 from .aggregate import SolverConfig, MeasureFamily, inf_convolution
 
@@ -27,7 +27,6 @@ __all__ = [
     "envelope_evaluate",
     "envelope_family",
     "envelope_member_measure",
-    "envelope_probe_report",
     "min_representation_check",
     "relaxation_member",
     "aggregate_representation_check",
@@ -146,78 +145,52 @@ def _domination_positions(x, count, rng):
     ]
 
 
-def envelope_probe_report(rho, probes, tol=1e-9, domination_samples=50):
-    """Per-probe record of tightness and domination, one dict per probe.
-
-    Keys: x, rho_x, tight_member_value, min_family_value, domination_ok.
-    """
-    homogeneous = "positively_homogeneous" in rho.claims
-    need = getattr(rho, "required_n", None)
-    rng = np.random.default_rng((int(probes.seed), 0x0e))
-    rows = []
-    for x in probes.profiles:
-        if need is not None and x.space.n != need:
-            continue
-        rho_x = rho(x)
-        tight = envelope_evaluate(EnvelopeMember(x, rho_x, homogeneous), x)
-        values = [tight]
-        ok = abs(tight - rho_x) <= tol
-        for y in _domination_positions(x, domination_samples, rng):
-            v = envelope_evaluate(EnvelopeMember(y, rho(y), homogeneous), x)
-            values.append(v)
-            if v < rho_x - tol:
-                ok = False
-        rows.append(
-            {
-                "x": x.values.tolist(),
-                "rho_x": rho_x,
-                "tight_member_value": tight,
-                "min_family_value": min(values),
-                "domination_ok": bool(ok),
-            }
-        )
-    return rows
-
-
 def min_representation_check(rho, probes, tol=1e-9, domination_samples=50):
     """Tightness and domination of the envelope on every probe.
 
     The member generated at the probe itself must reproduce the measure
     within ``tol``; members generated anywhere else must not undershoot
     it.  Together these certify the minimum representation on the
-    sample.
+    sample.  The verdict, ``probes_used`` and witness stop at the first
+    violation; ``rows`` holds one dict per probe all the same, with keys
+    x, rho_x, tight_member_value, min_family_value, domination_ok.
     """
+    rows = []
+    cases = _representation_cases(rho, probes, tol, domination_samples, rows)
+    report = _first_violation("min_representation", cases, tol)
+    for _ in cases:  # finish the rows past a violation
+        pass
+    return replace(report, rows=rows)
+
+
+def _representation_cases(rho, probes, tol, domination_samples, rows):
+    """Witness-or-None per tightness and domination check; appends each
+    probe's row once its checks are done."""
     homogeneous = "positively_homogeneous" in rho.claims
-    need = getattr(rho, "required_n", None)
     rng = np.random.default_rng((int(probes.seed), 0x0e))
-    used = 0
-    for x in probes.profiles:
-        if need is not None and x.space.n != need:
-            continue
+    for x in _usable(rho, probes):
         rho_x = rho(x)
-        used += 1
         tight = envelope_evaluate(EnvelopeMember(x, rho_x, homogeneous), x)
-        if abs(tight - rho_x) > tol:
-            return AxiomReport(
-                "min_representation", "violated", tol, used,
-                {"x": x.values.copy(), "rho_x": rho_x, "tight_value": tight},
-            )
+        ok = abs(tight - rho_x) <= tol
+        yield None if ok else {
+            "x": x.values.copy(), "rho_x": rho_x, "tight_value": tight,
+        }
+        low = tight
         for y in _domination_positions(x, domination_samples, rng):
-            used += 1
             v = envelope_evaluate(EnvelopeMember(y, rho(y), homogeneous), x)
+            low = min(low, v)
             if v < rho_x - tol:
-                return AxiomReport(
-                    "min_representation", "violated", tol, used,
-                    {
-                        "x": x.values.copy(),
-                        "y": y.values.copy(),
-                        "rho_x": rho_x,
-                        "member_value": v,
-                    },
-                )
-    if used == 0:
-        raise DomainError("no probe matches the evaluator's required state count")
-    return AxiomReport("min_representation", "holds_on_sample", tol, used)
+                ok = False
+                yield {
+                    "x": x.values.copy(), "y": y.values.copy(), "rho_x": rho_x,
+                    "member_value": v,
+                }
+            else:
+                yield None
+        rows.append({
+            "x": x.values.tolist(), "rho_x": rho_x, "tight_member_value": tight,
+            "min_family_value": low, "domination_ok": bool(ok),
+        })
 
 
 def relaxation_member(gamma, rho, probes, tol=1e-9):
@@ -227,21 +200,15 @@ def relaxation_member(gamma, rho, probes, tol=1e-9):
     target; both parts are checked on the probes only, so a True is
     evidence, not proof.
     """
-    from .axioms import check_axiom
-
     for prop in ("monotone", "translation_invariant", "normalized", "convex"):
         if check_axiom(gamma, prop, probes, tol).verdict == "violated":
             return False
-    need_g = getattr(gamma, "required_n", None)
-    need_r = getattr(rho, "required_n", None)
-    for x in probes.profiles:
-        if need_g is not None and x.space.n != need_g:
-            continue
-        if need_r is not None and x.space.n != need_r:
-            continue
-        if gamma(x) < rho(x) - tol:
-            return False
-    return True
+    need = getattr(rho, "required_n", None)
+    return all(
+        not gamma(x) < rho(x) - tol
+        for x in _usable(gamma, probes)
+        if need is None or x.space.n == need
+    )
 
 
 def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
@@ -278,8 +245,12 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
     if op not in ("sup", "inf", "average", "infconv"):
         raise DomainError("unsupported aggregation op %r" % op)
 
-    name = "aggregate_representation[%s]" % op
-    used = 0
+    cases = _aggregate_cases(fams, op, probes, tol, weights, config)
+    return _first_violation("aggregate_representation[%s]" % op, cases, tol)
+
+
+def _aggregate_cases(fams, op, probes, tol, weights, config):
+    """Witness-or-None per probe for aggregate_representation_check."""
     rng = np.random.default_rng((int(probes.seed), 0x5b))
 
     def sup_measure(x):
@@ -294,7 +265,6 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
 
     for x in probes.profiles:
         rho_vals = [rho(x) for rho, _ in fams]
-        used += 1
 
         if op == "average":
             target = float(weights @ rho_vals)
@@ -327,7 +297,7 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
                     got = v
                     break
         else:  # infconv
-            if k != 2:
+            if len(fams) != 2:
                 raise DomainError("infconv representation check is pairwise")
             cfg = config or SolverConfig(starts=6, scan_points=9)
             fam = MeasureFamily([fams[0][0], fams[1][0]], x.space)
@@ -355,12 +325,7 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
                 if v < target - tol:
                     ok = False
 
-        if not ok:
-            return AxiomReport(
-                name, "violated", tol, used,
-                {"x": x.values.copy(), "target": target, "got": got},
-            )
-    return AxiomReport(name, "holds_on_sample", tol, used)
+        yield None if ok else {"x": x.values.copy(), "target": target, "got": got}
 
 
 # -- Penalty functions -------------------------------------------------------

@@ -18,7 +18,8 @@ import numpy as np
 
 # Mass comparisons everywhere in this package use this absolute tolerance.
 MASS_TOL = 1e-12
-# Loss values closer than this are merged into a single atom.
+# Loss values closer than this times the largest magnitude among them are
+# merged into a single atom.
 VALUE_MERGE_TOL = 1e-12
 
 
@@ -131,9 +132,9 @@ def _require_same_space(x, y):
 class LossDistribution:
     """Sorted (value, probability) atoms of a loss; the law-invariant view.
 
-    Values are strictly increasing (entries within 1e-12 of each other are
-    merged, probabilities aggregated) and probabilities sum to 1 within
-    1e-12.  ``cum`` holds the cumulative masses; ``cum[-1]`` is the total.
+    Values are strictly increasing (atoms closer than 1e-12 times the
+    largest magnitude merge, probabilities aggregated); probabilities sum
+    to 1 within 1e-12, and ``cum`` holds their running total.
     """
 
     __slots__ = ("values", "probs", "cum")
@@ -142,11 +143,13 @@ class LossDistribution:
         pairs = sorted((float(v), float(p)) for v, p in atoms)
         if not pairs:
             raise DomainError("distribution needs at least one atom")
+        # sorted, so the largest magnitude is -min or max
+        merge_tol = VALUE_MERGE_TOL * max(-pairs[0][0], pairs[-1][0])
         vals, probs = [], []
         for v, p in pairs:
             if p <= 0.0:
                 raise DomainError("atom probabilities must be strictly positive")
-            if vals and v - vals[-1] <= VALUE_MERGE_TOL:
+            if vals and v - vals[-1] <= merge_tol:
                 probs[-1] += p
             else:
                 vals.append(v)

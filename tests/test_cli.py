@@ -1,12 +1,15 @@
 """End-to-end command-line behavior: golden configs, determinism, exit codes.
 
-Every golden config is run twice through ``main`` with ``--out`` and the
-two reports must match byte for byte; spot values are frozen from hand
-calculations (quantiles, Choquet tables, robust argmins) so a formatting
-or convention drift fails loudly rather than silently reshuffling JSON.
+Every golden config is run twice through ``main`` with ``--out``; the two
+reports must match each other and the snapshot in ``data/golden`` byte for
+byte.  Spot values are frozen from hand calculations (quantiles, Choquet
+tables, robust argmins) so a formatting or convention drift fails loudly
+rather than silently reshuffling JSON.
 """
 
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,9 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from starrisk.cli import CliInputError, _clean, main
+from starrisk.cli import CliInputError, _KINDS, _clean, main
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
+DATA = ROOT / "tests" / "data"
 
 
 def run(tmp_path, stem, argv):
@@ -53,14 +57,16 @@ GOLDEN = [
     ("optimize_direct", data_argv("optimize", "actions.csv", "optimize_one.json"), 0),
     ("optimize_robust", data_argv("optimize", "actions.csv", "basic.json"), 0),
     ("margin_subsets", data_argv("margin", "book.csv", "margin.json", "--seed", "5"), 0),
+    ("envelope_non_star",
+     data_argv("envelope", None, "non_star.json", "--seed", "3"), 1),
 ]
 
 
 class TestGoldenDeterminism:
     @pytest.mark.parametrize(
-        "argv,expected", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN]
+        "name,argv,expected", GOLDEN, ids=[g[0] for g in GOLDEN]
     )
-    def test_rerun_is_byte_identical(self, tmp_path, argv, expected):
+    def test_rerun_is_byte_identical(self, tmp_path, name, argv, expected):
         code_a, raw_a = run(tmp_path, "a", argv)
         code_b, raw_b = run(tmp_path, "b", argv)
         assert code_a == expected
@@ -69,6 +75,10 @@ class TestGoldenDeterminism:
         parsed = json.loads(raw_a)
         assert parsed["metadata"]["version"]
         assert raw_a.endswith(b"\n")
+        # "input" echoes an absolute path; the snapshot holds a placeholder
+        data_dir = json.dumps(str(DATA))[1:-1].encode()
+        snapshot = (DATA / "golden" / (name + ".json")).read_bytes()
+        assert raw_a.replace(data_dir, b"<data>") == snapshot
 
     def test_pretty_same_content_different_bytes(self, tmp_path):
         argv = data_argv("eval", "book.csv", "basic.json")
@@ -209,20 +219,24 @@ class TestExitOne:
         assert {"x", "y", "weight", "rho_mix"} <= set(row["witness"])
 
     def test_non_star_shortfall(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({
-            "measures": [{
-                "name": "sf", "kind": "shortfall",
-                "utility_knots": [[-1, -2], [0, 0], [1, 1], [2, 3]],
-            }],
-            "properties": ["star_shaped"],
-        }))
-        code, raw = run(tmp_path, "r", ["axioms", "--spec", str(spec),
-                                        "--seed", "4"])
-        rep = json.loads(raw)
+        argv = data_argv("axioms", None, "non_star.json", "--seed", "4")
+        code, rep = report(tmp_path, argv)
         assert code == 1
         assert rep["reports"][0]["verdict"] == "violated"
         assert "scale" in rep["reports"][0]["witness"]
+
+    def test_envelope_non_star_rows_cover_every_probe(self, tmp_path):
+        # the verdict and probes_used stop at the first undershooting
+        # member; the rows go on through all 12 probes
+        argv = data_argv("envelope", None, "non_star.json", "--seed", "3")
+        code, rep = report(tmp_path, argv)
+        assert code == 1
+        (entry,) = rep["reports"]
+        assert entry["verdict"] == "violated"
+        assert entry["probes_used"] == 118
+        assert set(entry["witness"]) == {"x", "y", "rho_x", "member_value"}
+        assert len(entry["rows"]) == 12
+        assert sum(not row["domination_ok"] for row in entry["rows"]) == 6
 
 
 def expect_input_error(capsys, argv, fragment):
@@ -507,12 +521,14 @@ class TestSerialization:
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "r.json"
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "starrisk", "eval",
              "--input", str(DATA / "book.csv"),
              "--spec", str(DATA / "basic.json"), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text())["results"]["book"]["e"] == 3.5
@@ -530,7 +546,21 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["results"]["book"]["v"] == 2.0
 
+    def test_spec_help_lists_kinds(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "kinds: " + ", ".join(_KINDS) in help_text
+
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--spec", "x.json"])
         assert exc.value.code == 2
+
+
+def test_readme_kinds_match_registry():
+    readme = (ROOT / "README.md").read_text()
+    (paragraph,) = re.findall(r"^Kinds: .*?(?=\n\n)", readme, re.M | re.S)
+    # kinds are the backticked names outside the parenthesized field notes
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", paragraph))
+    assert named == list(_KINDS)

@@ -30,7 +30,6 @@ from starrisk.envelope import (
     envelope_evaluate,
     envelope_family,
     envelope_member_measure,
-    envelope_probe_report,
     min_representation_check,
     penalty_of,
     relaxation_member,
@@ -188,8 +187,8 @@ class TestMinRepresentation:
         assert envelope_evaluate(member, x) < rho(x) - 1e-6
 
     def test_probe_report_rows(self):
-        rows = envelope_probe_report(var_measure(0.75), PROBES,
-                                     domination_samples=5)
+        rows = min_representation_check(var_measure(0.75), PROBES,
+                                        domination_samples=5).rows
         assert len(rows) == len(PROBES.profiles)
         for row in rows:
             assert set(row) == {

@@ -60,6 +60,11 @@ def test_distribution_merges_equal_values():
     d = distribution_of(LossProfile(s, [2.0, 2.0, 5.0]))
     assert list(d.values) == [2.0, 5.0]
     assert np.allclose(d.probs, [0.5, 0.5])
+    # the merge tolerance is relative to the largest magnitude, so a
+    # profile quoted at 1e-12 keeps its atoms apart
+    tiny = distribution_of(LossProfile(StateSpace.uniform(2), [0.0, 1e-12]))
+    assert list(tiny.values) == [0.0, 1e-12]
+    assert np.allclose(tiny.probs, [0.5, 0.5])
 
 
 def test_distribution_constant_law():
