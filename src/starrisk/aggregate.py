@@ -102,7 +102,8 @@ class SplitSolution:
     ``parts`` sum to the target componentwise (exactly, by construction:
     the last part absorbs the remainder).  ``meta`` records solver
     provenance; attainment of the infimum is not decidable numerically,
-    so it is reported as "unknown" rather than claimed.
+    so it is reported as "unknown" rather than claimed, except for a
+    single member, whose charge of the whole target is "exact".
     """
 
     parts: tuple
@@ -338,19 +339,14 @@ def inf_convolution(fam, x, config=None, assume_normal=False):
     config = config or SolverConfig()
     fam._check(x)
     k = fam.size
-    meta = {"attainment": "unknown", "starts": int(config.starts), "converged": True}
-
+    # a single member takes the whole target: its charge is the infimum
+    meta = {"attainment": "exact" if k == 1 else "unknown",
+            "starts": int(config.starts), "converged": True}
     if k == 1:
-        total = fam.members[0](x)
-        return SplitSolution((x,), total, meta)
+        return SplitSolution((x,), fam.members[0](x), meta)
 
     if not assume_normal:
-        gate = normality_check(fam, config.normality_samples, config.seed)
-        if not gate.passed:
-            raise DomainError(
-                "normality gate failed (zero-sum witness with total %.6g); "
-                "the split total may be unbounded below" % gate.witness["total"]
-            )
+        _gate(fam, config)
 
     n = x.space.n
     xv = x.values
@@ -432,11 +428,7 @@ def ccp_margin(fam, admissible, x, config=None, assume_normal=False):
         raise DomainError("admissible list must be nonempty")
     best = None
     for subset in subsets:
-        sub = fam.subfamily(subset)
-        if sub.size == 1:
-            sol = SplitSolution((x,), sub.members[0](x), {"attainment": "exact"})
-        else:
-            sol = inf_convolution(sub, x, config, assume_normal)
+        sol = inf_convolution(fam.subfamily(subset), x, config, assume_normal)
         if best is None or sol.total < best[1].total - 1e-15:
             best = (subset, sol)
     return best
@@ -454,72 +446,59 @@ def ecb_blend(fam, weight, x):
 # -- Evaluator wrappers -----------------------------------------------------
 
 
-def _common_claims(fam, allowed):
-    claims = set(allowed)
-    for rho in fam.members:
-        claims &= rho.claims
-    return tuple(sorted(claims))
-
-
 def _gate(fam, config):
+    """Raise unless the normality gate passes for ``fam``."""
     config = config or SolverConfig()
     report = normality_check(fam, config.normality_samples, config.seed)
     if not report.passed:
         raise DomainError(
-            "normality gate failed for family (zero-sum witness total %.6g)"
-            % report.witness["total"]
+            "normality gate failed (zero-sum witness with total %.6g); "
+            "the split total may be unbounded below" % report.witness["total"]
         )
+
+
+def _family_measure(fam, label, allowed, fn):
+    """Evaluator pinned to the family space, claiming those ``allowed``
+    claims that every member carries."""
+    claims = set(allowed)
+    for rho in fam.members:
+        claims &= rho.claims
+    return RiskEvaluator(label, fn, tuple(sorted(claims)), required_n=fam.space.n)
 
 
 def choquet_measure(fam, mu, name=None):
     """Choquet aggregate as a reusable evaluator pinned to the family space."""
-    label = name or "choquet[%d members]" % fam.size
-    claims = _common_claims(fam, _PASS_THROUGH_EXACT)
-    return RiskEvaluator(
-        label,
+    return _family_measure(
+        fam, name or "choquet[%d members]" % fam.size, _PASS_THROUGH_EXACT,
         lambda x: choquet_aggregate(fam, mu, x),
-        claims,
-        required_n=fam.space.n,
     )
 
 
 def ecb_blend_measure(fam, weight, name=None):
-    label = name or "blend[%g]" % weight
-    claims = _common_claims(fam, _PASS_THROUGH_EXACT)
-    return RiskEvaluator(
-        label,
+    return _family_measure(
+        fam, name or "blend[%g]" % weight, _PASS_THROUGH_EXACT,
         lambda x: ecb_blend(fam, weight, x),
-        claims,
-        required_n=fam.space.n,
     )
 
 
 def ccp_margin_measure(fam, admissible, config=None, name=None, assume_normal=False):
     """Margin pipeline as an evaluator.  The normality gate runs once per
     multi-member admissible subset at construction, not on every call."""
-    label = name or "margin[%d subsets]" % len(admissible)
-    claims = _common_claims(fam, _PASS_THROUGH)
     if not assume_normal:
         for subset in admissible:
             if len(tuple(subset)) > 1:
                 _gate(fam.subfamily(subset), config)
-    return RiskEvaluator(
-        label,
+    return _family_measure(
+        fam, name or "margin[%d subsets]" % len(admissible), _PASS_THROUGH,
         lambda x: ccp_margin(fam, admissible, x, config, assume_normal=True)[1].total,
-        claims,
-        required_n=fam.space.n,
     )
 
 
 def infconv_measure(fam, config=None, name=None, assume_normal=False):
     """Inf-convolution as an evaluator; the normality gate runs once."""
-    label = name or "infconv[%d members]" % fam.size
-    claims = _common_claims(fam, _PASS_THROUGH)
     if not assume_normal and fam.size > 1:
         _gate(fam, config)
-    return RiskEvaluator(
-        label,
+    return _family_measure(
+        fam, name or "infconv[%d members]" % fam.size, _PASS_THROUGH,
         lambda x: inf_convolution(fam, x, config, assume_normal=True).total,
-        claims,
-        required_n=fam.space.n,
     )

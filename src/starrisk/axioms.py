@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state_space import DomainError, LossProfile, StateSpace
+from .state_space import DomainError, LossProfile, StateSpace, _bisect
 
 #: Dilation factors spanning both the contraction and dilation regimes.
 DILATION_GRID = (0.125, 0.25, 0.5, 0.75, 1.0, 4.0 / 3.0, 2.0, 4.0, 8.0)
@@ -269,13 +269,7 @@ def measure_from_acceptance(accept, x, lo=None, hi=None, tol=1e-9, max_expand=60
                  "no acceptable cash translation found (upper bracket)")
     lo = _expand(accept, x, lo, lo - hi, False, max_expand,
                  "every cash translation acceptable (lower bracket)")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if accept(x - mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda m: accept(x - m), lo, hi, tol)
 
 
 def _expand(accept, x, edge, step, accepted, max_expand, message):

@@ -311,11 +311,19 @@ def _metadata(args):
     return {"version": __version__, "seed": args.seed, "tolerance": args.tol}
 
 
+def _load(args):
+    """(spec, space, {column: profile}, measures, {name: kind}), spec first;
+    without --input the space is None and there are no columns."""
+    spec_obj = load_spec(args.spec)
+    space, profiles = load_scenarios(args.input) if args.input else (None, {})
+    measures, kinds = build_measures(spec_obj, space, args.seed)
+    return spec_obj, space, profiles, measures, kinds
+
+
 def _score(args, wanted):
     """Value every scenario column under the spec measures whose kind is in
     ``wanted``: (columns, {name: kind} of those measures, results)."""
-    space, profiles = load_scenarios(args.input)
-    measures, kinds = build_measures(load_spec(args.spec), space, args.seed)
+    _, _, profiles, measures, kinds = _load(args)
     scored = {n: rho for n, rho in measures.items() if kinds[n] in wanted}
     results = {
         col: {name: rho(x) for name, rho in scored.items()}
@@ -352,15 +360,6 @@ def cmd_aggregate(args):
     return 0
 
 
-def _spec_measures(args):
-    """The spec and its measures, on the --input space when one is given."""
-    spec_obj = load_spec(args.spec)
-    space = None
-    if args.input:
-        space, _ = load_scenarios(args.input)
-    return spec_obj, build_measures(spec_obj, space, args.seed)[0]
-
-
 def _audit(args, measures, count, checks, **fields):
     """Report ``checks(rho, probes)`` for every measure on ``count`` seeded
     probes; exit status 1 when any check is violated."""
@@ -382,7 +381,7 @@ def _audit(args, measures, count, checks, **fields):
 
 
 def cmd_axioms(args):
-    spec_obj, measures = _spec_measures(args)
+    spec_obj, _, _, measures, _ = _load(args)
     properties = spec_obj.get("properties", ["star_shaped"])
     if not isinstance(properties, list) or not all(
         isinstance(p, str) for p in properties
@@ -398,7 +397,7 @@ def cmd_axioms(args):
 
 
 def cmd_envelope(args):
-    _, measures = _spec_measures(args)
+    _, _, _, measures, _ = _load(args)
     return _audit(
         args, measures, _ENVELOPE_PROBES,
         lambda rho, probes: [min_representation_check(rho, probes, tol=args.tol)],
@@ -406,8 +405,7 @@ def cmd_envelope(args):
 
 
 def cmd_infconv(args):
-    space, profiles = load_scenarios(args.input)
-    measures, _ = build_measures(load_spec(args.spec), space, args.seed)
+    _, space, profiles, measures, _ = _load(args)
     fam = MeasureFamily(list(measures.values()), space)
     gate = normality_check(fam, seed=args.seed)
     if not gate.passed:
@@ -440,8 +438,7 @@ def cmd_infconv(args):
 
 
 def cmd_optimize(args):
-    space, profiles = load_scenarios(args.input)
-    measures, _ = build_measures(load_spec(args.spec), space, args.seed)
+    _, space, profiles, measures, _ = _load(args)
     table = ActionLossTable(list(profiles), list(profiles.values()))
     if len(measures) == 1:
         target = next(iter(measures.values()))
@@ -475,9 +472,7 @@ def cmd_optimize(args):
 
 
 def cmd_margin(args):
-    space, profiles = load_scenarios(args.input)
-    spec_obj = load_spec(args.spec)
-    measures, _ = build_measures(spec_obj, space, args.seed)
+    spec_obj, space, profiles, measures, _ = _load(args)
     fam = MeasureFamily(list(measures.values()), space)
     admissible = spec_obj.get("admissible")
     if admissible is None:

@@ -155,42 +155,32 @@ def min_representation_check(rho, probes, tol=1e-9, domination_samples=50):
     violation; ``rows`` holds one dict per probe all the same, with keys
     x, rho_x, tight_member_value, min_family_value, domination_ok.
     """
-    rows = []
-    cases = _representation_cases(rho, probes, tol, domination_samples, rows)
-    report = _first_violation("min_representation", cases, tol)
-    for _ in cases:  # finish the rows past a violation
-        pass
-    return replace(report, rows=rows)
-
-
-def _representation_cases(rho, probes, tol, domination_samples, rows):
-    """Witness-or-None per tightness and domination check; appends each
-    probe's row once its checks are done."""
     homogeneous = "positively_homogeneous" in rho.claims
     rng = np.random.default_rng((int(probes.seed), 0x0e))
+    checks, rows = [], []  # witness-or-None per check; one row per probe
     for x in _usable(rho, probes):
         rho_x = rho(x)
         tight = envelope_evaluate(EnvelopeMember(x, rho_x, homogeneous), x)
         ok = abs(tight - rho_x) <= tol
-        yield None if ok else {
+        checks.append(None if ok else {
             "x": x.values.copy(), "rho_x": rho_x, "tight_value": tight,
-        }
+        })
         low = tight
         for y in _domination_positions(x, domination_samples, rng):
             v = envelope_evaluate(EnvelopeMember(y, rho(y), homogeneous), x)
             low = min(low, v)
-            if v < rho_x - tol:
-                ok = False
-                yield {
-                    "x": x.values.copy(), "y": y.values.copy(), "rho_x": rho_x,
-                    "member_value": v,
-                }
-            else:
-                yield None
+            bad = v < rho_x - tol
+            ok = ok and not bad
+            checks.append({
+                "x": x.values.copy(), "y": y.values.copy(), "rho_x": rho_x,
+                "member_value": v,
+            } if bad else None)
         rows.append({
             "x": x.values.tolist(), "rho_x": rho_x, "tight_member_value": tight,
             "min_family_value": low, "domination_ok": bool(ok),
         })
+    report = _first_violation("min_representation", checks, tol)
+    return replace(report, rows=rows)
 
 
 def relaxation_member(gamma, rho, probes, tol=1e-9):
@@ -244,6 +234,8 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
             raise DomainError("weights must sum to 1")
     if op not in ("sup", "inf", "average", "infconv"):
         raise DomainError("unsupported aggregation op %r" % op)
+    if op == "infconv" and k != 2:
+        raise DomainError("infconv representation check is pairwise")
 
     cases = _aggregate_cases(fams, op, probes, tol, weights, config)
     return _first_violation("aggregate_representation[%s]" % op, cases, tol)
@@ -297,8 +289,6 @@ def _aggregate_cases(fams, op, probes, tol, weights, config):
                     got = v
                     break
         else:  # infconv
-            if len(fams) != 2:
-                raise DomainError("infconv representation check is pairwise")
             cfg = config or SolverConfig(starts=6, scan_points=9)
             fam = MeasureFamily([fams[0][0], fams[1][0]], x.space)
             sol = inf_convolution(fam, x, cfg, assume_normal=True)

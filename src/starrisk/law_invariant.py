@@ -11,11 +11,9 @@ pieces (tail-average case), so no level between grid points can hide an
 extremum.
 """
 
-import math
-
 import numpy as np
 
-from .state_space import DomainError, LossDistribution, distribution_of
+from .state_space import VALUE_MERGE_TOL, DomainError, distribution_of
 from .measures import es, mean, var, worst_case
 
 __all__ = [
@@ -39,6 +37,13 @@ def _merged_interior(x, y):
     pts = np.concatenate([x.cum[:-1], y.cum[:-1]])
     pts = pts[(pts > 0.0) & (pts < 1.0)]
     return np.unique(pts)
+
+
+def _slack(x, y):
+    """Comparison slack for two laws: ``VALUE_MERGE_TOL`` times their
+    largest magnitude, the rule by which ``LossDistribution`` merges."""
+    ends = (-x.values[0], x.values[-1], -y.values[0], y.values[-1])
+    return VALUE_MERGE_TOL * float(max(ends))
 
 
 class GeneratorCurve:
@@ -104,7 +109,8 @@ def fsd_dominates(x, y):
     of (0, 1).
     """
     points = np.append(_merged_interior(x, y), 1.0)
-    return all(var(x, float(p)) <= var(y, float(p)) + 1e-12 for p in points)
+    slack = _slack(x, y)
+    return all(var(x, float(p)) <= var(y, float(p)) + slack for p in points)
 
 
 def ssd_dominates(x, y):
@@ -124,7 +130,8 @@ def ssd_dominates(x, y):
         return (1.0 - b) * es(d, b)
 
     points = np.concatenate([[0.0], _merged_interior(x, y), [1.0]])
-    return all(g(x, float(p)) <= g(y, float(p)) + 1e-12 for p in points)
+    slack = _slack(x, y)
+    return all(g(x, float(p)) <= g(y, float(p)) + slack for p in points)
 
 
 def var_envelope_eval(gens, x):
@@ -134,17 +141,12 @@ def var_envelope_eval(gens, x):
     VaR_level(x) - g(level); both curves are steps on the merged grid,
     so the sup is a maximum over cell right endpoints.
     """
-    gens = list(gens)
-    if not gens:
-        raise DomainError("need at least one generator curve")
-    if any(gen.kind != "var" for gen in gens):
-        raise DomainError("quantile envelope needs 'var' generators")
-    best = math.inf
-    for gen in gens:
-        points = np.append(_merged_interior(x, gen.dist), 1.0)
-        sup = max(var(x, float(p)) - var(gen.dist, float(p)) for p in points)
-        best = min(best, sup)
-    return best
+
+    def gap(y):
+        points = np.append(_merged_interior(x, y), 1.0)
+        return max(var(x, float(p)) - var(y, float(p)) for p in points)
+
+    return _envelope_min(gens, "var", "quantile", gap)
 
 
 def es_envelope_eval(gens, x):
@@ -156,19 +158,24 @@ def es_envelope_eval(gens, x):
     maximum over the cell breakpoints and the two end limits: the mean
     gap at 0+ and the max-loss gap at 1-.
     """
-    gens = list(gens)
-    if not gens:
-        raise DomainError("need at least one generator curve")
-    if any(gen.kind != "es" for gen in gens):
-        raise DomainError("tail-average envelope needs 'es' generators")
-    best = math.inf
-    for gen in gens:
-        y = gen.dist
+
+    def gap(y):
         candidates = [mean(x) - mean(y), worst_case(x) - worst_case(y)]
         for p in _merged_interior(x, y):
             candidates.append(es(x, float(p)) - es(y, float(p)))
-        best = min(best, max(candidates))
-    return best
+        return max(candidates)
+
+    return _envelope_min(gens, "es", "tail-average", gap)
+
+
+def _envelope_min(gens, kind, label, gap):
+    """Least ``gap(generator law)`` over generator curves, all of ``kind``."""
+    gens = list(gens)
+    if not gens:
+        raise DomainError("need at least one generator curve")
+    if any(gen.kind != kind for gen in gens):
+        raise DomainError("%s envelope needs '%s' generators" % (label, kind))
+    return min(gap(gen.dist) for gen in gens)
 
 
 def tail_event(x, alpha_prime):

@@ -29,10 +29,13 @@ from .state_space import (
     LossDistribution,
     MASS_TOL,
     StateSpace,
+    _bisect,
     distribution_of,
 )
 
-#: Property flags a measure may claim; the axioms module can test each.
+#: Property flags a measure may claim.  ``axioms.check_axiom`` tests the
+#: ones in ``axioms.SUPPORTED_PROPERTIES``; ``law_invariant`` and
+#: ``ssd_consistent`` are declared only.
 KNOWN_CLAIMS = frozenset(
     {
         "monotone",
@@ -232,23 +235,16 @@ def shortfall(d, u, tol=1e-10):
 
     The map m -> E[u(m - X)] is continuous and strictly increasing, with a
     guaranteed sign change on [min atom, max atom]; bisection stops at
-    absolute width ``tol``.
+    absolute width ``tol`` or at the spacing of doubles near the root.
     """
 
-    def expectation(m):
-        return float(np.dot(d.probs, u(m - d.values)))
+    def acceptable(m):
+        return float(np.dot(d.probs, u(m - d.values))) >= 0.0
 
     lo = float(d.values[0])
-    hi = float(d.values[-1])
-    if expectation(lo) >= 0.0:
+    if acceptable(lo):
         return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if expectation(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(acceptable, lo, float(d.values[-1]), tol)
 
 
 # ---------------------------------------------------------------------------

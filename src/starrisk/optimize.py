@@ -108,26 +108,25 @@ class PortfolioProblem:
         return float(np.dot(self.pricing, payoff.values))
 
 
+def _argmin(pairs, value):
+    """(key, value(item)) at the least value over (key, item) pairs; the
+    first pair wins ties, and (None, inf) when no value is below inf."""
+    best, best_value = None, math.inf
+    for key, item in pairs:
+        v = value(item)
+        if v < best_value:
+            best, best_value = key, v
+    return best, best_value
+
+
 def minimize_risk(rho, table):
     """Exhaustive minimum of rho over the table; first action wins ties."""
-    best_action = None
-    best_value = math.inf
-    for action, loss in table.items():
-        value = rho(loss)
-        if value < best_value:
-            best_action, best_value = action, value
-    return best_action, best_value
+    return _argmin(table.items(), rho)
 
 
 def robust_minimize(fam, table):
     """Minimize the worst member value over actions; first-in-list ties."""
-    best_action = None
-    best_value = math.inf
-    for action, loss in table.items():
-        value = float(np.max(fam.values(loss)))
-        if value < best_value:
-            best_action, best_value = action, value
-    return best_action, best_value
+    return _argmin(table.items(), lambda loss: float(np.max(fam.values(loss))))
 
 
 def decomposition_check(target, table, gammas, tol=1e-9):
@@ -248,13 +247,7 @@ def _loss_of(payoff):
 def portfolio_exhaustive(rho, prob):
     """Direct route: evaluate rho on every affordable payoff's loss."""
     feasible = _within_budget(prob)
-    best = None
-    best_value = math.inf
-    for payoff in feasible:
-        value = rho(_loss_of(payoff))
-        if value < best_value:
-            best, best_value = payoff, value
-    return best, best_value
+    return _argmin(zip(feasible, map(_loss_of, feasible)), rho)
 
 
 def portfolio_select(rho, prob):
@@ -267,16 +260,9 @@ def portfolio_select(rho, prob):
     feasible = _within_budget(prob)
     losses = [_loss_of(x) for x in feasible]
     members = envelope_family(rho, losses)
-    best = None
-    best_value = math.inf
-    for member in members:
-        gamma = envelope_member_measure(member)
-        inner = None
-        inner_value = math.inf
-        for payoff, loss in zip(feasible, losses):
-            value = gamma(loss)
-            if value < inner_value:
-                inner, inner_value = payoff, value
-        if inner_value < best_value:
-            best, best_value = inner, inner_value
-    return best, best_value
+    pairs = list(zip(feasible, losses))
+    # per member, its best payoff and value; then the best of those
+    return _argmin(
+        (_argmin(pairs, envelope_member_measure(m)) for m in members),
+        lambda value: value,
+    )

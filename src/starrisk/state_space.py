@@ -181,6 +181,21 @@ def distribution_of(x):
     return LossDistribution(zip(x.values, x.space.probs))
 
 
+def _bisect(pred, lo, hi, tol):
+    """Halve [lo, hi], ``pred`` false at lo and true at hi, to width ``tol``
+    or until the midpoint is no longer strictly inside (adjacent doubles
+    spaced wider than ``tol``); returns the last midpoint."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def quantile_breakpoints(d):
     """Cumulative-probability jump levels strictly inside (0, 1).
 

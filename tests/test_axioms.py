@@ -33,6 +33,8 @@ from starrisk.axioms import (
     star_acceptance_check,
 )
 
+import oracles
+
 PROBES = default_probe_set(seed=1729, count=120)
 
 U2 = StateSpace.uniform(2)
@@ -194,6 +196,23 @@ class TestAcceptance:
                     lambda z: acceptance_set_contains(rho, z), x
                 )
                 assert math.isclose(m, rho(x), abs_tol=1e-6), rho.name
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e9, 1e12])
+def test_bisections_finish_at_large_scale(scale):
+    # doubles near the answer are spaced wider than both bisection
+    # tolerances (1e-10 and 1e-9) at these scales
+    x = profile([scale * v for v in (-1.0, 2.0, 4.0)])
+    knots = [(-1.0, -3.0), (0.0, 0.0), (1.0, 1.0)]
+    expected = oracles.oracle_shortfall(
+        x.values.tolist(), x.space.probs.tolist(), knots
+    )
+    assert math.isclose(
+        shortfall_measure(Utility(knots))(x), expected, rel_tol=1e-12
+    )
+    rho = es_measure(0.5)
+    m = measure_from_acceptance(lambda z: rho(z) <= 0.0, x)
+    assert math.isclose(m, rho(x), rel_tol=1e-12)
 
 
 class TestStarAcceptance:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from starrisk.axioms import SUPPORTED_PROPERTIES
 from starrisk.cli import CliInputError, _KINDS, _clean, main
 
 ROOT = Path(__file__).parent.parent
@@ -556,6 +557,12 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "--spec", "x.json"])
         assert exc.value.code == 2
+
+
+def test_readme_properties_match_checks():
+    readme = (ROOT / "README.md").read_text()
+    (listed,) = re.findall(r"`starrisk\.axioms` — property checks \((.*?)\)", readme, re.S)
+    assert re.findall(r"`(\w+)`", listed) == list(SUPPORTED_PROPERTIES)
 
 
 def test_readme_kinds_match_registry():

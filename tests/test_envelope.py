@@ -22,7 +22,7 @@ from starrisk.measures import (
     worst_case_measure,
 )
 from starrisk.aggregate import MeasureFamily, SolverConfig, ecb_blend_measure
-from starrisk.axioms import check_axiom, default_probe_set
+from starrisk.axioms import DILATION_GRID, ProbeSet, check_axiom, default_probe_set
 from starrisk.envelope import (
     EnvelopeMember,
     PenaltyTable,
@@ -265,6 +265,10 @@ class TestAggregateRepresentation:
         fams = self.families([es_measure(0.5)])
         with pytest.raises(DomainError):
             aggregate_representation_check(fams, "infconv", self.small_probes(6))
+        # refused before any probe, so an empty probe set is no way round it
+        empty = ProbeSet((), DILATION_GRID, 6)
+        with pytest.raises(DomainError, match="pairwise"):
+            aggregate_representation_check(fams, "infconv", empty)
 
 
 class TestPenalty:

@@ -180,6 +180,26 @@ class TestSecondOrder:
         assert not ssd_dominates(dist([0.0, 4.0]), dist([1.0, 3.0]))
 
 
+# (x, y, fsd_dominates(x, y), ssd_dominates(x, y)) on two equiprobable states
+ORDER_PAIRS = [
+    ([2.0, 3.0], [0.0, 1.0], False, False),
+    ([1.0, 2.0], [2.0, 3.0], True, True),
+    ([0.0, 3.0], [1.0, 2.0], False, False),
+    ([1.0, 3.0], [0.0, 4.0], False, True),
+    ([4.0, 5.0], [0.0, 10.0], False, True),
+]
+
+
+@pytest.mark.parametrize("xs, ys, fsd, ssd", ORDER_PAIRS)
+def test_order_verdicts_do_not_depend_on_scale(xs, ys, fsd, ssd):
+    # the comparison slack scales with the laws: at 1e-13, (2, 3) must
+    # still not dominate (0, 1)
+    for k in range(-13, 13):
+        x = dist([10.0 ** k * v for v in xs])
+        y = dist([10.0 ** k * v for v in ys])
+        assert (fsd_dominates(x, y), ssd_dominates(x, y)) == (fsd, ssd), k
+
+
 SWEEP_SEED = 1729
 
 
