@@ -260,6 +260,8 @@ def measure_from_acceptance(accept, x, lo=None, hi=None, tol=1e-9, max_expand=60
     ``accept`` must be monotone in m (membership of x - m nondecreasing as
     m grows); the bracket defaults to the value range of x and expands
     geometrically until decisive, else a :class:`SearchError` is raised.
+    Bisection stops at width ``tol`` times the largest magnitude of x when
+    that is below 1, else at ``tol``.
     """
     lo = float(np.min(x.values) - 1.0) if lo is None else float(lo)
     hi = float(np.max(x.values)) if hi is None else float(hi)
@@ -269,7 +271,9 @@ def measure_from_acceptance(accept, x, lo=None, hi=None, tol=1e-9, max_expand=60
                  "no acceptable cash translation found (upper bracket)")
     lo = _expand(accept, x, lo, lo - hi, False, max_expand,
                  "every cash translation acceptable (lower bracket)")
-    return _bisect(lambda m: accept(x - m), lo, hi, tol)
+    scale = float(np.max(np.abs(x.values)))
+    width = tol * min(1.0, scale) if scale > 0.0 else tol
+    return _bisect(lambda m: accept(x - m), lo, hi, width)
 
 
 def _expand(accept, x, edge, step, accepted, max_expand, message):

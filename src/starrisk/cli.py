@@ -124,31 +124,32 @@ def load_scenarios(path):
     """CSV to (StateSpace, ordered {name: LossProfile})."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            rows = csv.reader(fh)
+            first = next(rows, None)
+            if first is None:
+                raise CliInputError("%s is empty" % path)
+            header = [h.strip() for h in first]
+            if header[:2] != ["state", "prob"]:
+                raise CliInputError(
+                    "header must start with 'state,prob', got %r" % ",".join(header)
+                )
+            names = header[2:]
+            if not names:
+                raise CliInputError("need at least one loss column after 'prob'")
+            if len(names) != len(set(names)):
+                raise CliInputError("duplicate loss column names")
+            probs = []
+            columns = {name: [] for name in names}
+            for r, row in enumerate(rows, start=2):
+                if len(row) != len(header):
+                    raise CliInputError(
+                        "row %d has %d fields, expected %d" % (r, len(row), len(header))
+                    )
+                probs.append(_parse_float(row[1], r, "prob"))
+                for name, cell in zip(names, row[2:]):
+                    columns[name].append(_parse_float(cell, r, name))
     except OSError as err:
         raise CliInputError("cannot read %s: %s" % (path, err)) from None
-    if not rows:
-        raise CliInputError("%s is empty" % path)
-    header = [h.strip() for h in rows[0]]
-    if header[:2] != ["state", "prob"]:
-        raise CliInputError(
-            "header must start with 'state,prob', got %r" % ",".join(header)
-        )
-    names = header[2:]
-    if not names:
-        raise CliInputError("need at least one loss column after 'prob'")
-    if len(names) != len(set(names)):
-        raise CliInputError("duplicate loss column names")
-    probs = []
-    columns = {name: [] for name in names}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise CliInputError(
-                "row %d has %d fields, expected %d" % (r, len(row), len(header))
-            )
-        probs.append(_parse_float(row[1], r, "prob"))
-        for name, cell in zip(names, row[2:]):
-            columns[name].append(_parse_float(cell, r, name))
     if not probs:
         raise CliInputError("%s has a header but no scenario rows" % path)
     space = StateSpace(probs)  # validates mass and positivity

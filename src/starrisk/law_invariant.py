@@ -14,7 +14,7 @@ extremum.
 import numpy as np
 
 from .state_space import VALUE_MERGE_TOL, DomainError, distribution_of
-from .measures import es, mean, var, worst_case
+from .measures import _es_levels, es, mean, var, worst_case
 
 __all__ = [
     "PrecisionError",
@@ -95,7 +95,7 @@ class GeneratorCurve:
         else:
             values = (
                 [mean(self.dist)]
-                + [es(self.dist, float(a)) for a in levels]
+                + _es_levels(self.dist, levels)
                 + [float(self.dist.values[-1])]
             )
         return {"kind": self.kind, "levels": levels.tolist(), "values": values}
@@ -122,16 +122,14 @@ def ssd_dominates(x, y):
     the endpoints is then exact on all of (0, 1).
     """
 
-    def g(d, b):
-        if b <= 0.0:
-            return mean(d)
-        if b >= 1.0:
-            return 0.0
-        return (1.0 - b) * es(d, b)
+    levels = _merged_interior(x, y)
 
-    points = np.concatenate([[0.0], _merged_interior(x, y), [1.0]])
+    def g(d):
+        tail = [(1.0 - b) * e for b, e in zip(levels.tolist(), _es_levels(d, levels))]
+        return [mean(d)] + tail + [0.0]
+
     slack = _slack(x, y)
-    return all(g(x, float(p)) <= g(y, float(p)) + slack for p in points)
+    return all(a <= b + slack for a, b in zip(g(x), g(y)))
 
 
 def var_envelope_eval(gens, x):
@@ -160,10 +158,10 @@ def es_envelope_eval(gens, x):
     """
 
     def gap(y):
+        levels = _merged_interior(x, y)
+        tails = zip(_es_levels(x, levels), _es_levels(y, levels))
         candidates = [mean(x) - mean(y), worst_case(x) - worst_case(y)]
-        for p in _merged_interior(x, y):
-            candidates.append(es(x, float(p)) - es(y, float(p)))
-        return max(candidates)
+        return max(candidates + [a - b for a, b in tails])
 
     return _envelope_min(gens, "es", "tail-average", gap)
 

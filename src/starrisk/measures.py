@@ -21,6 +21,7 @@ module is the sole verifier.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -115,12 +116,36 @@ def es(d, beta):
     lows = np.concatenate(([0.0], d.cum[:-1]))
     highs = np.minimum(d.cum, 1.0)
     overlap = np.clip(highs - np.maximum(lows, beta), 0.0, None)
-    return float(math.fsum(v * o for v, o in zip(d.values, overlap)) / (1.0 - beta))
+    return float(math.fsum((d.values * overlap).tolist()) / (1.0 - beta))
+
+
+def _es_levels(d, levels):
+    """``[es(d, b) for b in levels]`` for a float array of levels, bit for
+    bit, in O(n) per level.
+
+    Cells wholly above a level contribute ``value * cell width``; these
+    products are formed once.  The cell holding the level adds its partial
+    overlap; cells below it add zero.  ``math.fsum`` is exactly rounded, so
+    leaving out zero terms and reordering the rest changes nothing.
+    """
+    lows = np.concatenate(([0.0], d.cum[:-1]))
+    highs = np.minimum(d.cum, 1.0)
+    full = (d.values * np.clip(highs - lows, 0.0, None)).tolist()
+    values, highs = d.values.tolist(), highs.tolist()
+    # the cell holding b is the last one starting below it
+    cells = np.searchsorted(lows, levels, side="left") - 1
+    out = []
+    for b, k in zip(levels.tolist(), cells.tolist()):
+        if not 0.0 < b < 1.0:
+            raise DomainError("es level must lie in (0, 1), got %r" % b)
+        partial = values[k] * max(highs[k] - b, 0.0)
+        out.append(math.fsum(full[k + 1:] + [partial]) / (1.0 - b))
+    return out
 
 
 def mean(d):
     """Probability-weighted average loss."""
-    return float(math.fsum(v * p for v, p in zip(d.values, d.probs)))
+    return float(math.fsum((d.values * d.probs).tolist()))
 
 
 def worst_case(d):
@@ -155,7 +180,9 @@ def entropic(d, lam):
     if not lam > 0.0:
         raise DomainError("entropic parameter must be positive, got %r" % lam)
     m = float(d.values[-1])
-    s = math.fsum(p * math.exp((v - m) / lam) for v, p in zip(d.values, d.probs))
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    terms = map(math.exp, ((d.values - m) / lam).tolist())
+    s = math.fsum(map(operator.mul, d.probs.tolist(), terms))
     return m + lam * math.log(s)
 
 
@@ -356,9 +383,7 @@ def _scenario_distributions(weight_rows):
             raise DomainError(
                 "profile has %d states, scenarios expect %d" % (x.space.n, n)
             )
-        return [
-            LossDistribution(zip(x.values, s.probs)) for s in spaces
-        ]
+        return [LossDistribution._from_arrays(x.values, s.probs) for s in spaces]
 
     return laws, n
 

@@ -129,6 +129,11 @@ def _require_same_space(x, y):
         raise DimensionError("profiles live on different state spaces")
 
 
+# Up to this many atoms sorting Python tuples is faster than numpy, whose
+# per-call overhead dominates at small n; above it the numpy build wins.
+_PAIR_BUILD_MAX = 64
+
+
 class LossDistribution:
     """Sorted (value, probability) atoms of a loss; the law-invariant view.
 
@@ -140,26 +145,27 @@ class LossDistribution:
     __slots__ = ("values", "probs", "cum")
 
     def __init__(self, atoms):
-        pairs = sorted((float(v), float(p)) for v, p in atoms)
-        if not pairs:
-            raise DomainError("distribution needs at least one atom")
-        # sorted, so the largest magnitude is -min or max
-        merge_tol = VALUE_MERGE_TOL * max(-pairs[0][0], pairs[-1][0])
-        vals, probs = [], []
-        for v, p in pairs:
-            if p <= 0.0:
-                raise DomainError("atom probabilities must be strictly positive")
-            if vals and v - vals[-1] <= merge_tol:
-                probs[-1] += p
-            else:
-                vals.append(v)
-                probs.append(p)
-        total = math.fsum(probs)
+        self._set(*_merge_pairs(sorted((float(v), float(p)) for v, p in atoms)))
+
+    @classmethod
+    def _from_arrays(cls, values, probs):
+        """Law of float arrays ``values`` and ``probs``, equal to
+        ``cls(zip(values, probs))`` bit for bit."""
+        d = cls.__new__(cls)
+        if values.size <= _PAIR_BUILD_MAX:
+            d._set(*_merge_pairs(sorted(zip(values.tolist(), probs.tolist()))))
+        else:
+            d._set(*_merge_arrays(values, probs))
+        return d
+
+    def _set(self, vals, probs):
+        probs = np.asarray(probs)
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > MASS_TOL:
             raise DomainError("atom probabilities sum to %.17g, not 1" % total)
-        self.values = np.array(vals)
-        self.probs = np.array(probs)
-        self.cum = np.cumsum(self.probs)
+        self.values = np.asarray(vals)
+        self.probs = probs
+        self.cum = np.cumsum(probs)
         for a in (self.values, self.probs, self.cum):
             a.setflags(write=False)
 
@@ -170,6 +176,64 @@ class LossDistribution:
         return "LossDistribution(%s)" % list(zip(self.values, self.probs))
 
 
+def _merge_pairs(pairs):
+    """Merge sorted (value, prob) pairs: a value within the merge tolerance
+    of the first value kept in its group adds its probability to that
+    group, in order.  Returns (values, probs) lists."""
+    if not pairs:
+        raise DomainError("distribution needs at least one atom")
+    # sorted, so the largest magnitude is -min or max
+    merge_tol = VALUE_MERGE_TOL * max(-pairs[0][0], pairs[-1][0])
+    vals, probs = [], []
+    for v, p in pairs:
+        if p <= 0.0:
+            raise DomainError("atom probabilities must be strictly positive")
+        if vals and v - vals[-1] <= merge_tol:
+            probs[-1] += p
+        else:
+            vals.append(v)
+            probs.append(p)
+    return vals, probs
+
+
+def _merge_arrays(values, probs):
+    """``_merge_pairs`` on nonempty float arrays, vectorised.
+
+    Exactly equal values are ordered by probability, as tuples sort, so
+    their sums add in the same order.  A group cut where consecutive
+    values differ by more than the tolerance is also cut by the
+    first-value rule; groups spanning more than the tolerance are then
+    re-cut by that rule.  ``np.bincount`` adds each group's weights in
+    sequence, like the pair loop.
+    """
+    order = np.argsort(values)
+    v = values[order]
+    gaps = np.diff(v)
+    if not gaps.all():
+        order = np.lexsort((probs, values))
+        v = values[order]
+        gaps = np.diff(v)
+    p = probs[order]
+    if (p <= 0.0).any():
+        raise DomainError("atom probabilities must be strictly positive")
+    merge_tol = VALUE_MERGE_TOL * max(-float(v[0]), float(v[-1]))
+    cut = gaps > merge_tol
+    if cut.all():
+        return v, p
+    starts = np.concatenate(([True], cut))
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], v.size) - 1
+    for g in np.flatnonzero(v[last] - v[first] > merge_tol).tolist():
+        lo, hi = int(first[g]), int(last[g])
+        kept = v[lo]
+        for i in range(lo + 1, hi + 1):
+            if v[i] - kept > merge_tol:
+                starts[i] = True
+                kept = v[i]
+    group = np.cumsum(starts) - 1
+    return v[starts], np.bincount(group, weights=p)
+
+
 def pointwise_leq(x, y):
     """True iff ``x.values <= y.values`` in every state (shared space)."""
     _require_same_space(x, y)
@@ -178,7 +242,7 @@ def pointwise_leq(x, y):
 
 def distribution_of(x):
     """Law of a ``LossProfile`` under its space's weights."""
-    return LossDistribution(zip(x.values, x.space.probs))
+    return LossDistribution._from_arrays(x.values, x.space.probs)
 
 
 def _bisect(pred, lo, hi, tol):

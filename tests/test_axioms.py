@@ -215,6 +215,14 @@ def test_bisections_finish_at_large_scale(scale):
     assert math.isclose(m, rho(x), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6])
+def test_acceptance_bisection_scales_down(scale):
+    # an absolute width of 1e-9 gave -4.6e-10 for ES 3.33e-12 at 1e-12
+    x = profile([scale * v for v in (-1.0, 2.0, 4.0)])
+    m = measure_from_acceptance(lambda z: es_measure(0.5)(z) <= 0.0, x)
+    assert math.isclose(m, es(distribution_of(x), 0.5), rel_tol=1e-9)
+
+
 class TestStarAcceptance:
     def test_var_holds(self):
         report = star_acceptance_check(var_measure(0.75), PROBES)

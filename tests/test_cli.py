@@ -311,6 +311,15 @@ class TestInputErrors:
             "sum to 1.2",
         )
 
+    def test_empty_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("")
+        expect_input_error(
+            capsys,
+            ["eval", "--input", str(bad), "--spec", str(DATA / "basic.json")],
+            "is empty",
+        )
+
     def test_header_without_rows(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("state,prob,book\n")

@@ -14,6 +14,7 @@ from starrisk.state_space import (
     distribution_of,
 )
 from starrisk.measures import (
+    _es_levels,
     LossBenchmark,
     Utility,
     entropic,
@@ -123,6 +124,39 @@ class TestEs:
         dx, dlx = distribution_of(x), distribution_of(lam * x)
         assert math.isclose(var(dlx, beta), lam * var(dx, beta), abs_tol=1e-12)
         assert math.isclose(es(dlx, beta), lam * es(dx, beta), abs_tol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(-6, 6), st.integers(1, 4)), min_size=1, max_size=80
+        ),
+        st.integers(-12, 12),
+        st.lists(st.floats(0.001, 0.999), max_size=8),
+    )
+    def test_levels_kernel_matches_es(self, atoms, exponent, extra):
+        values = [0.5 * k * 10.0**exponent for k, _ in atoms]
+        weights = np.array([w for _, w in atoms], float)
+        d = LossDistribution(zip(values, weights / weights.sum()))
+        levels = np.array(
+            [c for c in d.cum[:-1].tolist() if 0.0 < c < 1.0] + sorted(extra)
+        )
+        expected = [es(d, b) for b in levels.tolist()]
+        assert [e.hex() for e in _es_levels(d, levels)] == [e.hex() for e in expected]
+
+
+def test_var_and_mean_match_oracles_at_10000_states():
+    rng = np.random.default_rng(7)
+    n = 10_000
+    # half the states on a coarse grid (exact ties), half distinct
+    values = np.where(
+        np.arange(n) % 2 == 0, np.round(rng.normal(size=n), 1), rng.normal(size=n)
+    )
+    weights = rng.random(n) + 0.1
+    space = StateSpace(weights / weights.sum())
+    d = distribution_of(LossProfile(space, values))
+    vals, probs = values.tolist(), space.probs.tolist()
+    assert var(d, 0.9) == oracles.oracle_var(vals, probs, 0.9)
+    assert math.isclose(mean(d), oracles.oracle_mean(vals, probs), abs_tol=1e-12)
 
 
 class TestRobustifiedVar:

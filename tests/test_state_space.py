@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starrisk.state_space import (
+    _PAIR_BUILD_MAX,
     Capacity,
     DimensionError,
     DomainError,
@@ -14,6 +15,7 @@ from starrisk.state_space import (
     LossProfile,
     StateSpace,
     distribution_of,
+    _merge_arrays,
     pointwise_leq,
     quantile_breakpoints,
 )
@@ -104,6 +106,41 @@ def test_distribution_permutation_invariant(values, rnd):
     assert np.array_equal(d1.values, d2.values)
     assert np.allclose(d1.probs, d2.probs, atol=1e-12)
     assert math.isclose(float(d1.probs.sum()), 1.0, abs_tol=1e-12)
+
+
+@st.composite
+def atom_arrays(draw):
+    """Values and probabilities with exact ties, signed zeros, and chains
+    of near-merge steps (0.9e-12 apart, up to 4.5e-12 long) that span
+    more than the merge tolerance, at magnitudes 1e-12 to 1e12 and sizes
+    on both sides of the array-build cutoff."""
+    n = draw(st.integers(1, 2 * _PAIR_BUILD_MAX + 8))
+    ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    steps = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+    weights = st.lists(st.integers(1, 4), min_size=n, max_size=n)
+    step = draw(st.sampled_from([0.0, 0.3e-12, 0.9e-12]))
+    scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-12, 12))
+    values = (np.array(draw(ints), float) + step * np.array(draw(steps))) * scale
+    probs = np.array(draw(weights), float)
+    return values, probs / probs.sum()
+
+
+def same_bits(a, b):
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_arrays())
+def test_array_build_matches_pair_build(arrays):
+    values, probs = arrays
+    ref = LossDistribution(zip(values.tolist(), probs.tolist()))
+    d = LossDistribution._from_arrays(values, probs)
+    for name in ("values", "probs", "cum"):
+        assert same_bits(getattr(d, name), getattr(ref, name)), name
+    # the array merge itself, also below the cutoff where it is not used
+    merged_values, merged_probs = _merge_arrays(values, probs)
+    assert same_bits(merged_values, ref.values)
+    assert same_bits(merged_probs, ref.probs)
 
 
 def test_capacity_validation_and_lookup():
