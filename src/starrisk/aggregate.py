@@ -206,18 +206,25 @@ class SolverConfig:
     coordinate sweeps the best candidate is polished with line searches
     along random directions; axis-aligned descent can stall on the edges
     of piecewise-linear objectives, and for convex members a random
-    direction escapes any such non-optimal stall.
+    direction escapes any such non-optimal stall.  The line-search width
+    (1e-9), the least improvement that counts (1e-12) and the normality
+    gate's 300 samples are fixed.
     """
 
     seed: int = 0
     starts: int = 16
     max_sweeps: int = 60
     scan_points: int = 17
-    line_tol: float = 1e-9
-    improve_tol: float = 1e-12
     polish_stall: int = 30
     polish_cap: int = 400
-    normality_samples: int = 300
+
+
+# Golden-section width of each line search, and the least drop in the split
+# total that counts as progress (a sweep, or a polish round).
+_LINE_TOL = 1e-9
+_IMPROVE_TOL = 1e-12
+# zero-sum tuples the normality gate samples when no certificate is found
+_NORMALITY_SAMPLES = 300
 
 
 def normality_check(fam, samples=1000, seed=0):
@@ -259,9 +266,11 @@ def normality_check(fam, samples=1000, seed=0):
     return NormalityReport(True, "sampling", int(samples))
 
 
-def _golden_line(objective, lo, hi, scan_points, tol):
+def _golden_line(objective, lo, hi, scan_points):
     """Minimize a 1-d function: coarse scan, then golden section in the
-    bracketing cell.  Returns (argmin, value)."""
+    bracketing cell to width ``_LINE_TOL``, or until the golden points are
+    no longer strictly inside it (adjacent doubles spaced wider than the
+    width).  Returns (argmin, value)."""
     grid = np.linspace(lo, hi, scan_points)
     vals = [objective(t) for t in grid]
     j = int(np.argmin(vals))
@@ -273,7 +282,7 @@ def _golden_line(objective, lo, hi, scan_points, tol):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > tol:
+    while b - a > _LINE_TOL and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -315,10 +324,8 @@ def _direction_polish(objective, theta, value, lo, hi, rng, config):
         def line(t):
             return objective(np.clip(theta + t * d, lo, hi))
 
-        t_best, v_best = _golden_line(
-            line, t_lo, t_hi, config.scan_points, config.line_tol
-        )
-        if v_best < value - config.improve_tol:
+        t_best, v_best = _golden_line(line, t_lo, t_hi, config.scan_points)
+        if v_best < value - _IMPROVE_TOL:
             theta = np.clip(theta + t_best * d, lo, hi)
             value = v_best
             stalled = 0
@@ -389,13 +396,11 @@ def inf_convolution(fam, x, config=None, assume_normal=False):
                     theta[_c] = old
                     return v
 
-                t_best, v_best = _golden_line(
-                    line, lo, hi, config.scan_points, config.line_tol
-                )
+                t_best, v_best = _golden_line(line, lo, hi, config.scan_points)
                 if v_best < value:
                     theta[c] = t_best
                     value = v_best
-            if before - value < config.improve_tol:
+            if before - value < _IMPROVE_TOL:
                 converged = True
                 break
         if not converged:
@@ -449,7 +454,7 @@ def ecb_blend(fam, weight, x):
 def _gate(fam, config):
     """Raise unless the normality gate passes for ``fam``."""
     config = config or SolverConfig()
-    report = normality_check(fam, config.normality_samples, config.seed)
+    report = normality_check(fam, _NORMALITY_SAMPLES, config.seed)
     if not report.passed:
         raise DomainError(
             "normality gate failed (zero-sum witness with total %.6g); "

@@ -29,6 +29,13 @@ SHIFT_GRID = (-2.5, -1.0, 0.5, 3.0)
 #: Mixing weights used for convexity probes.
 WEIGHT_GRID = (0.1, 0.25, 0.5, 0.75, 0.9)
 
+# default probe values are drawn from [-_PROBE_BOUND, _PROBE_BOUND]
+_PROBE_BOUND = 5.0
+# measure_from_acceptance: bisection width, and how often a bracket end may
+# double its step before the search gives up
+_ACCEPT_TOL = 1e-9
+_MAX_EXPAND = 60
+
 
 class SearchError(ValueError):
     """A bracketing search could not be made decisive."""
@@ -80,9 +87,8 @@ class ProbeSet:
             raise DomainError("dilation grid must contain values below, at, and above 1")
 
 
-def default_probe_set(seed, count=200, sizes=(2, 3, 4), equiprobable=False,
-                      low=-5.0, high=5.0):
-    """Seeded profiles over the given state counts with values in [low, high].
+def default_probe_set(seed, count=200, sizes=(2, 3, 4), equiprobable=False):
+    """Seeded profiles over the given state counts with values in [-5, 5].
 
     Non-equiprobable weights are a mixture of a flat vector and a Dirichlet
     draw, keeping every state mass at least 0.1 / n.  Consecutive profiles
@@ -99,7 +105,9 @@ def default_probe_set(seed, count=200, sizes=(2, 3, 4), equiprobable=False,
             w = 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n
             space = StateSpace(w / w.sum())
         for _ in range(min(2, count - len(profiles))):
-            profiles.append(LossProfile(space, rng.uniform(low, high, size=n)))
+            profiles.append(
+                LossProfile(space, rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=n))
+            )
     return ProbeSet(tuple(profiles), DILATION_GRID, int(seed))
 
 
@@ -254,32 +262,30 @@ def acceptance_set_contains(rho, x):
     return rho(x) <= 0.0
 
 
-def measure_from_acceptance(accept, x, lo=None, hi=None, tol=1e-9, max_expand=60):
+def measure_from_acceptance(accept, x):
     """Least cash m with x - m acceptable, by bracketed bisection.
 
     ``accept`` must be monotone in m (membership of x - m nondecreasing as
-    m grows); the bracket defaults to the value range of x and expands
-    geometrically until decisive, else a :class:`SearchError` is raised.
-    Bisection stops at width ``tol`` times the largest magnitude of x when
-    that is below 1, else at ``tol``.
+    m grows); the bracket starts at [min(x) - 1, max(x)] and expands
+    geometrically, at most 60 doublings per end, until decisive, else a
+    :class:`SearchError` is raised.  Bisection stops at width 1e-9 times
+    the largest magnitude of x when that is below 1, else at 1e-9.
     """
-    lo = float(np.min(x.values) - 1.0) if lo is None else float(lo)
-    hi = float(np.max(x.values)) if hi is None else float(hi)
-    if hi <= lo:
-        hi = lo + 1.0
-    hi = _expand(accept, x, hi, hi - lo, True, max_expand,
+    lo = float(np.min(x.values) - 1.0)
+    hi = float(np.max(x.values))
+    hi = _expand(accept, x, hi, hi - lo, True,
                  "no acceptable cash translation found (upper bracket)")
-    lo = _expand(accept, x, lo, lo - hi, False, max_expand,
+    lo = _expand(accept, x, lo, lo - hi, False,
                  "every cash translation acceptable (lower bracket)")
     scale = float(np.max(np.abs(x.values)))
-    width = tol * min(1.0, scale) if scale > 0.0 else tol
+    width = _ACCEPT_TOL * min(1.0, scale) if scale > 0.0 else _ACCEPT_TOL
     return _bisect(lambda m: accept(x - m), lo, hi, width)
 
 
-def _expand(accept, x, edge, step, accepted, max_expand, message):
+def _expand(accept, x, edge, step, accepted, message):
     """Move ``edge`` by ``step``, doubling it each time, until membership
     of x - edge equals ``accepted``."""
-    for _ in range(max_expand + 1):
+    for _ in range(_MAX_EXPAND + 1):
         if bool(accept(x - edge)) == accepted:
             return edge
         edge += step

@@ -50,8 +50,7 @@ from .aggregate import (
 )
 from .envelope import envelope_family, envelope_member_measure, \
     min_representation_check
-from .optimize import ActionLossTable, decomposition_check, minimize_risk, \
-    robust_minimize
+from .optimize import ActionLossTable, _decomposition
 
 __all__ = ["main", "CliInputError"]
 
@@ -444,19 +443,16 @@ def cmd_optimize(args):
     if len(measures) == 1:
         target = next(iter(measures.values()))
         method = "direct"
-        action, value = minimize_risk(target, table)
         gamma_source = target
     else:
         target = MeasureFamily(list(measures.values()), space)
         method = "robust"
-        action, value = robust_minimize(target, table)
         gamma_source = choquet_measure(target, sup_capacity(target.size))
     gammas = [
         envelope_member_measure(m)
         for m in envelope_family(gamma_source, table.losses)
     ]
-    rep = decomposition_check(target, table, gammas, tol=args.tol)
-    joint = min(g(loss) for g in gammas for loss in table.losses)
+    rep, action, value, joint = _decomposition(target, table, gammas, args.tol)
     report = {
         "command": "optimize",
         "metadata": _metadata(args),

@@ -34,6 +34,10 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-8
+# split solver settings of the infconv representation check
+_INFCONV_CHECK_CONFIG = SolverConfig(starts=6, scan_points=9)
+# penalty_of reports a conjugate that exceeds this as +inf
+_PENALTY_CAP = 1e6
 
 
 class EnvelopeMember:
@@ -201,15 +205,14 @@ def relaxation_member(gamma, rho, probes, tol=1e-9):
     )
 
 
-def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
-                                   config=None):
+def aggregate_representation_check(fams, op, probes, tol=1e-9):
     """Representation formulas for combined measures, checked on probes.
 
     ``fams`` lists (measure, members) pairs as produced by
     envelope_family.  Per probe the member generated at the probe itself
     is added to each family, which is what makes the minima attained.
 
-    average: the weighted average measure equals the minimum over
+    average: the equally weighted average measure equals the minimum over
       per-family picks of the weighted member sum.
     inf: the pointwise-minimum measure equals the minimum over the union
       family.
@@ -218,104 +221,99 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9, weights=None,
       checked through the relaxed class: envelope members of the sup
       measure itself, which dominate every constituent.
     infconv: at desk scale, the split-optimal member pair reproduces the
-      measure-level inf-convolution, and sampled pairs never beat it.
+      measure-level inf-convolution, and sampled pairs never beat it; the
+      splits use ``SolverConfig(starts=6, scan_points=9)``.
     """
     fams = [(rho, list(members)) for rho, members in fams]
     if not fams:
         raise DomainError("need at least one (measure, family) pair")
-    k = len(fams)
-    if weights is None:
-        weights = np.full(k, 1.0 / k)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.size != k or np.any(weights < 0.0):
-            raise DomainError("weights must be nonnegative, one per family")
-        if abs(weights.sum() - 1.0) > 1e-12:
-            raise DomainError("weights must sum to 1")
-    if op not in ("sup", "inf", "average", "infconv"):
+    if op not in _AGGREGATE_CASES:
         raise DomainError("unsupported aggregation op %r" % op)
-    if op == "infconv" and k != 2:
+    if op == "infconv" and len(fams) != 2:
         raise DomainError("infconv representation check is pairwise")
 
-    cases = _aggregate_cases(fams, op, probes, tol, weights, config)
-    return _first_violation("aggregate_representation[%s]" % op, cases, tol)
-
-
-def _aggregate_cases(fams, op, probes, tol, weights, config):
-    """Witness-or-None per probe for aggregate_representation_check."""
+    case = _AGGREGATE_CASES[op]
     rng = np.random.default_rng((int(probes.seed), 0x5b))
 
-    def sup_measure(x):
-        return max(rho(x) for rho, _ in fams)
+    def cases():
+        for x in probes.profiles:
+            target, got, ok = case(fams, x, [rho(x) for rho, _ in fams], tol, rng)
+            yield None if ok else {"x": x.values.copy(), "target": target, "got": got}
 
-    def member_values(x):
-        out = []
-        for rho, members in fams:
-            tight = EnvelopeMember(x, rho(x))
-            out.append([envelope_evaluate(m, x) for m in members + [tight]])
-        return out
+    return _first_violation("aggregate_representation[%s]" % op, cases(), tol)
 
-    for x in probes.profiles:
-        rho_vals = [rho(x) for rho, _ in fams]
 
-        if op == "average":
-            target = float(weights @ rho_vals)
-            per_fam = member_values(x)
-            got = math.fsum(w * min(vals) for w, vals in zip(weights, per_fam))
-            ok = abs(got - target) <= tol
-            # Any pick of one member per family must dominate.
-            if ok:
-                for pick in product(*(vals[:3] for vals in per_fam)):
-                    if math.fsum(w * v for w, v in zip(weights, pick)) < target - tol:
-                        ok = False
-                        break
-        elif op == "inf":
-            target = min(rho_vals)
-            union = [v for vals in member_values(x) for v in vals]
-            got = min(union)
-            ok = abs(got - target) <= tol
-        elif op == "sup":
-            target = max(rho_vals)
-            sup_tight = EnvelopeMember(x, target)
-            got = envelope_evaluate(sup_tight, x)
-            ok = abs(got - target) <= tol
-            # Sampled members of the relaxed class: envelope members of
-            # the sup measure generated elsewhere.  Each must dominate
-            # the sup at x, hence every constituent.
-            for y in _domination_positions(x, 3, rng):
-                v = envelope_evaluate(EnvelopeMember(y, sup_measure(y)), x)
-                if v < target - tol or any(v < rv - tol for rv in rho_vals):
-                    ok = False
-                    got = v
-                    break
-        else:  # infconv
-            cfg = config or SolverConfig(starts=6, scan_points=9)
-            fam = MeasureFamily([fams[0][0], fams[1][0]], x.space)
-            sol = inf_convolution(fam, x, cfg, assume_normal=True)
-            target = sol.total
-            picks = [
-                EnvelopeMember(part, rho(part))
-                for (rho, _), part in zip(fams, sol.parts)
-            ]
-            pair = MeasureFamily(
-                [envelope_member_measure(m) for m in picks], x.space
-            )
-            got = inf_convolution(pair, x, cfg, assume_normal=True).total
-            ok = abs(got - target) <= tol
-            # A sampled non-optimal pick must not undershoot.
-            if ok and fams[0][1] and fams[1][1]:
-                other = MeasureFamily(
-                    [
-                        envelope_member_measure(fams[0][1][0]),
-                        envelope_member_measure(fams[1][1][0]),
-                    ],
-                    x.space,
-                )
-                v = inf_convolution(other, x, cfg, assume_normal=True).total
-                if v < target - tol:
-                    ok = False
+def _member_values(fams, x):
+    """Per family, each member's charge of x plus that of the member
+    generated at x itself."""
+    out = []
+    for rho, members in fams:
+        tight = EnvelopeMember(x, rho(x))
+        out.append([envelope_evaluate(m, x) for m in members + [tight]])
+    return out
 
-        yield None if ok else {"x": x.values.copy(), "target": target, "got": got}
+
+def _average_case(fams, x, rho_vals, tol, rng):
+    weights = np.full(len(fams), 1.0 / len(fams))
+    target = float(weights @ rho_vals)
+    per_fam = _member_values(fams, x)
+    got = math.fsum(w * min(vals) for w, vals in zip(weights, per_fam))
+    # Any pick of one member per family must dominate.
+    ok = abs(got - target) <= tol and not any(
+        math.fsum(w * v for w, v in zip(weights, pick)) < target - tol
+        for pick in product(*(vals[:3] for vals in per_fam))
+    )
+    return target, got, ok
+
+
+def _inf_case(fams, x, rho_vals, tol, rng):
+    target = min(rho_vals)
+    got = min(v for vals in _member_values(fams, x) for v in vals)
+    return target, got, abs(got - target) <= tol
+
+
+def _sup_case(fams, x, rho_vals, tol, rng):
+    target = max(rho_vals)
+    got = envelope_evaluate(EnvelopeMember(x, target), x)
+    ok = abs(got - target) <= tol
+    # Sampled members of the relaxed class: envelope members of the sup
+    # measure generated elsewhere.  Each must dominate the sup at x, hence
+    # every constituent.
+    for y in _domination_positions(x, 3, rng):
+        sup_y = max(rho(y) for rho, _ in fams)
+        v = envelope_evaluate(EnvelopeMember(y, sup_y), x)
+        if v < target - tol or any(v < rv - tol for rv in rho_vals):
+            return target, v, False
+    return target, got, ok
+
+
+def _infconv_case(fams, x, rho_vals, tol, rng):
+    def split_total(members):
+        fam = MeasureFamily(members, x.space)
+        return inf_convolution(fam, x, _INFCONV_CHECK_CONFIG, assume_normal=True)
+
+    sol = split_total([rho for rho, _ in fams])
+    target = sol.total
+    picks = [
+        EnvelopeMember(part, rho(part)) for (rho, _), part in zip(fams, sol.parts)
+    ]
+    got = split_total([envelope_member_measure(m) for m in picks]).total
+    ok = abs(got - target) <= tol
+    # A sampled non-optimal pick must not undershoot.
+    if ok and all(members for _, members in fams):
+        other = [envelope_member_measure(members[0]) for _, members in fams]
+        ok = not split_total(other).total < target - tol
+    return target, got, ok
+
+
+#: Aggregation op -> case function mapping (fams, probe, measure values at
+#: the probe, tol, rng) to (target, got, ok).
+_AGGREGATE_CASES = {
+    "average": _average_case,
+    "inf": _inf_case,
+    "sup": _sup_case,
+    "infconv": _infconv_case,
+}
 
 
 # -- Penalty functions -------------------------------------------------------
@@ -371,14 +369,14 @@ def _conjugate_on_grid(gamma, space, q, box, per_axis):
     return best, arg
 
 
-def penalty_of(gamma, space, scenarios, box=8.0, step=0.25, cap=1e6):
+def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     """Conjugate sup_X (E_Q[X] - gamma(X)) per scenario, by grid search.
 
     The base pass scans the box at the given step.  One refinement pass
     follows: an interior argmax is polished on a local grid at a quarter
     of the step; an argmax stuck on the box boundary triggers geometric
-    box expansion (resolution scaled along), and values that exceed
-    ``cap`` on the way are reported as +inf.  Scenario vectors must be
+    box expansion (resolution scaled along), and values that exceed 1e6
+    on the way are reported as +inf.  Scenario vectors must be
     nonnegative but may sit outside the probability simplex; improper
     weightings are exactly what exposes unbounded penalties on small
     spaces.
@@ -397,14 +395,14 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25, cap=1e6):
         expansions = 0
         while (
             np.max(np.abs(arg)) >= cur_box - 1e-12
-            and best <= cap
+            and best <= _PENALTY_CAP
             and expansions < 12
         ):
             cur_box *= 4.0
             cur_step *= 4.0
             best, arg = _conjugate_on_grid(gamma, space, q, cur_box, per_axis)
             expansions += 1
-        if best > cap:
+        if best > _PENALTY_CAP:
             alphas.append(math.inf)
             continue
         if np.max(np.abs(arg)) < cur_box - 1e-12:
@@ -421,5 +419,5 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25, cap=1e6):
         space,
         tuple(scen),
         np.array(alphas),
-        {"box": box, "step": step, "cap": cap},
+        {"box": box, "step": step, "cap": _PENALTY_CAP},
     )

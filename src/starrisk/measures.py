@@ -257,12 +257,16 @@ def utility_is_star_compatible(u):
     return True
 
 
-def shortfall(d, u, tol=1e-10):
+# absolute width at which the shortfall bisection stops
+_SHORTFALL_TOL = 1e-10
+
+
+def shortfall(d, u):
     """Reservation price: inf{m : E[u(m - X)] >= 0} by bracketed bisection.
 
     The map m -> E[u(m - X)] is continuous and strictly increasing, with a
     guaranteed sign change on [min atom, max atom]; bisection stops at
-    absolute width ``tol`` or at the spacing of doubles near the root.
+    absolute width 1e-10 or at the spacing of doubles near the root.
     """
 
     def acceptable(m):
@@ -271,7 +275,7 @@ def shortfall(d, u, tol=1e-10):
     lo = float(d.values[0])
     if acceptable(lo):
         return lo
-    return _bisect(acceptable, lo, float(d.values[-1]), tol)
+    return _bisect(acceptable, lo, float(d.values[-1]), _SHORTFALL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +359,7 @@ def entropic_measure(lam):
     )
 
 
-def shortfall_measure(u, tol=1e-10):
+def shortfall_measure(u):
     claims = list(_MONETARY) + ["law_invariant"]
     if utility_is_star_compatible(u):
         claims.append("star_shaped")
@@ -363,7 +367,7 @@ def shortfall_measure(u, tol=1e-10):
         # Concave utility: the shortfall is convex (hence also SSD consistent).
         claims += ["convex", "ssd_consistent"]
     return RiskEvaluator(
-        "shortfall", lambda x: shortfall(distribution_of(x), u, tol), claims
+        "shortfall", lambda x: shortfall(distribution_of(x), u), claims
     )
 
 

@@ -138,6 +138,12 @@ def decomposition_check(target, table, gammas, tol=1e-9):
     the worst-member measure.  Holds when the two optima agree within
     ``tol`` and the direct argmin action attains the joint optimum.
     """
+    return _decomposition(target, table, gammas, tol)[0]
+
+
+def _decomposition(target, table, gammas, tol):
+    """decomposition_check's report together with the direct argmin action,
+    the direct value and the joint value it compared."""
     gammas = list(gammas)
     if not gammas:
         raise DomainError("need at least one dominating member")
@@ -170,13 +176,14 @@ def decomposition_check(target, table, gammas, tol=1e-9):
             "joint_member": joint_at[1],
             "attaining_actions": attaining,
         }
-    return AxiomReport(
+    report = AxiomReport(
         "risk_minimization_decomposition",
         "holds_on_sample" if ok else "violated",
         tol,
         len(gammas) * table.size,
         witness,
     )
+    return report, direct_action, direct_value, joint_value
 
 
 # properties a pointwise minimum inherits from its members

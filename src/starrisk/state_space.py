@@ -317,7 +317,3 @@ class Capacity:
     def of(self, mask):
         """Capacity of the subset encoded by ``mask``."""
         return float(self._table[mask])
-
-    def table(self):
-        """Full value table indexed by bitmask (read-only view)."""
-        return self._table

@@ -67,18 +67,24 @@ def pl_utility(knots):
         for i in range(len(xs) - 1):
             if xs[i] <= x <= xs[i + 1]:
                 s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-                return ys[i] + s * (x - xs[i])
+                # from the nearer knot, so that x close to a knot keeps its
+                # low digits
+                if x - xs[i] <= xs[i + 1] - x:
+                    return ys[i] + s * (x - xs[i])
+                return ys[i + 1] + s * (x - xs[i + 1])
         raise AssertionError("unreachable")
 
     return u
 
 
-def oracle_shortfall(values, probs, knots, tol=1e-12):
+def oracle_shortfall(values, probs, knots, tol=0.0):
     """Root of m -> E[u(m - X)] by exhaustive segment walking.
 
     The expectation is piecewise linear and strictly increasing in m, so the
     root lies on one of the segments delimited by m = x_i + knot_j (plus the
-    extension regions); solve each candidate segment linearly.
+    extension regions); solve each candidate segment linearly.  The first
+    segment whose ends bracket zero within ``tol`` holds the root; the
+    default brackets by exact sign, which does not depend on the scale.
     """
     u = pl_utility(knots)
 
@@ -96,8 +102,8 @@ def oracle_shortfall(values, probs, knots, tol=1e-12):
     for a, b in zip(grid, grid[1:]):
         ea, eb = expectation(a), expectation(b)
         if ea <= tol and eb >= -tol:
-            if abs(eb - ea) < tol:
-                return a if abs(ea) < tol else b
+            if abs(eb - ea) <= tol:
+                return a if abs(ea) <= tol else b
             return a + (b - a) * (0.0 - ea) / (eb - ea)
     raise AssertionError("root not bracketed")
 

@@ -261,6 +261,15 @@ class TestInfConvolution:
         # Free money inside the box: min + min - max is very negative.
         assert sol.total < var_measure(0.5)(x) - 1.0
 
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e12])
+    def test_split_solver_finishes_at_large_scale(self, scale):
+        # doubles near 1e10 are spaced wider than the 1e-9 line-search width
+        es5 = es_measure(0.5)
+        fam = MeasureFamily([es5, worst_case_measure()], U3)
+        x = LossProfile(U3, [scale * v for v in (-1.0, 2.0, 4.0)])
+        sol = inf_convolution(fam, x, SolverConfig(starts=2))
+        assert math.isclose(sol.total, es5(x), rel_tol=1e-9)
+
 
 class TestCcpMargin:
     def test_singletons_take_componentwise_min(self):

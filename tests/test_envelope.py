@@ -21,7 +21,7 @@ from starrisk.measures import (
     var_measure,
     worst_case_measure,
 )
-from starrisk.aggregate import MeasureFamily, SolverConfig, ecb_blend_measure
+from starrisk.aggregate import MeasureFamily, ecb_blend_measure
 from starrisk.axioms import DILATION_GRID, ProbeSet, check_axiom, default_probe_set
 from starrisk.envelope import (
     EnvelopeMember,
@@ -229,9 +229,7 @@ class TestAggregateRepresentation:
 
     def test_average_of_two_es_levels(self):
         fams = self.families([es_measure(0.25), es_measure(0.75)])
-        report = aggregate_representation_check(
-            fams, "average", self.small_probes(2), weights=(0.5, 0.5)
-        )
+        report = aggregate_representation_check(fams, "average", self.small_probes(2))
         assert report.verdict == "holds_on_sample"
 
     def test_sup_with_empty_raw_intersection(self):
@@ -251,8 +249,7 @@ class TestAggregateRepresentation:
     def test_infconv_pair_desk_scale(self):
         fams = self.families([es_measure(0.5), worst_case_measure()], size=2)
         report = aggregate_representation_check(
-            fams, "infconv", self.small_probes(4, count=4),
-            tol=1e-6, config=SolverConfig(seed=0, starts=6, scan_points=9),
+            fams, "infconv", self.small_probes(4, count=4), tol=1e-6
         )
         assert report.verdict == "holds_on_sample"
 

@@ -257,6 +257,15 @@ class TestShortfall:
         assert math.isclose(shortfall(d, u), expected, abs_tol=1e-8)
 
 
+    def test_segment_oracle_at_small_scale(self):
+        # evaluated from the left knot and bracketed within 1e-12 of zero,
+        # the oracle returned 2.43e-12 here
+        values = [1e-12 * v for v in (-1.0, 2.0, 4.0)]
+        knots = [(-1.0, -3.0), (0.0, 0.0), (1.0, 1.0)]
+        root = oracles.oracle_shortfall(values, [1 / 3] * 3, knots)
+        assert math.isclose(root, 2.6e-12, rel_tol=1e-12)
+
+
 class TestUtilityStarCompatibility:
     def test_concave_is_compatible(self):
         u = Utility([(-1.0, -3.0), (0.0, 0.0), (1.0, 1.0)])
