@@ -266,12 +266,15 @@ def measure_from_acceptance(accept, x):
     """Least cash m with x - m acceptable, by bracketed bisection.
 
     ``accept`` must be monotone in m (membership of x - m nondecreasing as
-    m grows); the bracket starts at [min(x) - 1, max(x)] and expands
+    m grows); the bracket starts at [min(x) - d, max(x)], with d = 1 or
+    twice the spacing of doubles at min(x) if that is larger, and expands
     geometrically, at most 60 doublings per end, until decisive, else a
     :class:`SearchError` is raised.  Bisection stops at width 1e-9 times
     the largest magnitude of x when that is below 1, else at 1e-9.
     """
-    lo = float(np.min(x.values) - 1.0)
+    low = float(np.min(x.values))
+    # from |min(x)| = 2**53 on, min(x) - 1 rounds back to min(x)
+    lo = low - max(1.0, 2.0 * float(np.spacing(abs(low))))
     hi = float(np.max(x.values))
     hi = _expand(accept, x, hi, hi - lo, True,
                  "no acceptable cash translation found (upper bracket)")

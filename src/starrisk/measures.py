@@ -22,6 +22,7 @@ module is the sole verifier.
 
 import math
 import operator
+from bisect import bisect_left
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .state_space import (
     LossDistribution,
     MASS_TOL,
     StateSpace,
+    _PAIR_BUILD_MAX,
     _bisect,
+    _plain_atoms,
     distribution_of,
 )
 
@@ -68,9 +71,15 @@ class RiskEvaluator:
         State count the evaluator is pinned to, or ``None`` when it accepts
         profiles on any space (scenario-based measures carry fixed-length
         weight vectors and are pinned).
+
+    The law-invariant factories (VaR, ES, mean, worst case, entropic and
+    LVaR) also give their evaluator a kernel of the law's sorted atoms as
+    plain Python lists.  Profiles of up to 64 states are scored by that
+    kernel, which skips numpy's per-call overhead and returns the same
+    float bit for bit; larger profiles go through ``fn``.
     """
 
-    __slots__ = ("name", "_fn", "claims", "required_n")
+    __slots__ = ("name", "_fn", "claims", "required_n", "_law")
 
     def __init__(self, name, fn, claims=(), required_n=None):
         unknown = set(claims) - KNOWN_CLAIMS
@@ -80,8 +89,13 @@ class RiskEvaluator:
         self._fn = fn
         self.claims = frozenset(claims)
         self.required_n = required_n
+        # kernel(values, probs, cum) of plain lists; set by law factories
+        self._law = None
 
     def evaluate(self, x):
+        if self._law is not None and x.space.n <= _PAIR_BUILD_MAX:
+            atoms = _plain_atoms(zip(x.values.tolist(), x.space.probs.tolist()))
+            return float(self._law(*atoms))
         return float(self._fn(x))
 
     __call__ = evaluate
@@ -94,14 +108,27 @@ class RiskEvaluator:
 # Distribution-level measures
 # ---------------------------------------------------------------------------
 
+# Each primitive below takes a ``LossDistribution``; the ``_*_atoms``
+# kernel next to it takes the same law as plain lists (values, probs, cum)
+# and returns the same float bit for bit.
+
 def var(d, beta):
     """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1]."""
-    if not 0.0 < beta <= 1.0:
-        raise DomainError("var level must lie in (0, 1], got %r" % beta)
+    _check_var_level(beta)
     # P(X > v_i) <= 1 - beta  <=>  cum_i >= beta.
     idx = int(np.searchsorted(d.cum, beta - MASS_TOL, side="left"))
     idx = min(idx, len(d) - 1)
     return float(d.values[idx])
+
+
+def _var_atoms(values, probs, cum, beta):
+    _check_var_level(beta)
+    return values[min(bisect_left(cum, beta - MASS_TOL), len(values) - 1)]
+
+
+def _check_var_level(beta):
+    if not 0.0 < beta <= 1.0:
+        raise DomainError("var level must lie in (0, 1], got %r" % beta)
 
 
 def es(d, beta):
@@ -111,12 +138,27 @@ def es(d, beta):
     ``values[i]`` on the cell ``(cum[i-1], cum[i]]``, so the integral is a
     finite sum of cell overlaps with ``(beta, 1)``.
     """
-    if not 0.0 < beta < 1.0:
-        raise DomainError("es level must lie in (0, 1), got %r" % beta)
+    _check_es_level(beta)
     lows = np.concatenate(([0.0], d.cum[:-1]))
     highs = np.minimum(d.cum, 1.0)
     overlap = np.clip(highs - np.maximum(lows, beta), 0.0, None)
     return float(math.fsum((d.values * overlap).tolist()) / (1.0 - beta))
+
+
+def _es_atoms(values, probs, cum, beta):
+    _check_es_level(beta)
+    terms, low = [], 0.0
+    for v, high in zip(values, cum):
+        # es's clipped overlap of the cell (low, high] with (beta, 1)
+        overlap = (high if high < 1.0 else 1.0) - (low if low > beta else beta)
+        terms.append(v * (overlap if overlap > 0.0 else 0.0))
+        low = high
+    return math.fsum(terms) / (1.0 - beta)
+
+
+def _check_es_level(beta):
+    if not 0.0 < beta < 1.0:
+        raise DomainError("es level must lie in (0, 1), got %r" % beta)
 
 
 def _es_levels(d, levels):
@@ -136,8 +178,7 @@ def _es_levels(d, levels):
     cells = np.searchsorted(lows, levels, side="left") - 1
     out = []
     for b, k in zip(levels.tolist(), cells.tolist()):
-        if not 0.0 < b < 1.0:
-            raise DomainError("es level must lie in (0, 1), got %r" % b)
+        _check_es_level(b)
         partial = values[k] * max(highs[k] - b, 0.0)
         out.append(math.fsum(full[k + 1:] + [partial]) / (1.0 - b))
     return out
@@ -148,9 +189,17 @@ def mean(d):
     return float(math.fsum((d.values * d.probs).tolist()))
 
 
+def _mean_atoms(values, probs, cum):
+    return math.fsum(map(operator.mul, values, probs))
+
+
 def worst_case(d):
     """Maximum atom value."""
     return float(d.values[-1])
+
+
+def _worst_case_atoms(values, probs, cum):
+    return values[-1]
 
 
 def max_var(ds, beta):
@@ -177,13 +226,24 @@ def entropic(d, lam):
 
     Computed with a max shift so that large losses cannot overflow.
     """
-    if not lam > 0.0:
-        raise DomainError("entropic parameter must be positive, got %r" % lam)
+    _check_entropic_parameter(lam)
     m = float(d.values[-1])
     # math.exp, not np.exp: the two differ in the last bit on some inputs
     terms = map(math.exp, ((d.values - m) / lam).tolist())
     s = math.fsum(map(operator.mul, d.probs.tolist(), terms))
     return m + lam * math.log(s)
+
+
+def _entropic_atoms(values, probs, cum, lam):
+    _check_entropic_parameter(lam)
+    m = values[-1]
+    s = math.fsum([p * math.exp((v - m) / lam) for v, p in zip(values, probs)])
+    return m + lam * math.log(s)
+
+
+def _check_entropic_parameter(lam):
+    if not lam > 0.0:
+        raise DomainError("entropic parameter must be positive, got %r" % lam)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +317,8 @@ def utility_is_star_compatible(u):
     return True
 
 
-# absolute width at which the shortfall bisection stops
+# width at which the shortfall bisection stops, times the law's largest
+# magnitude when that is below 1
 _SHORTFALL_TOL = 1e-10
 
 
@@ -266,16 +327,18 @@ def shortfall(d, u):
 
     The map m -> E[u(m - X)] is continuous and strictly increasing, with a
     guaranteed sign change on [min atom, max atom]; bisection stops at
-    absolute width 1e-10 or at the spacing of doubles near the root.
+    width 1e-10 times the largest magnitude s of the atoms when s < 1,
+    else at 1e-10, or at the spacing of doubles near the root.
     """
 
     def acceptable(m):
         return float(np.dot(d.probs, u(m - d.values))) >= 0.0
 
-    lo = float(d.values[0])
+    lo, hi = float(d.values[0]), float(d.values[-1])
     if acceptable(lo):
         return lo
-    return _bisect(acceptable, lo, float(d.values[-1]), _SHORTFALL_TOL)
+    scale = max(-lo, hi)
+    return _bisect(acceptable, lo, hi, _SHORTFALL_TOL * min(1.0, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +383,13 @@ def lvar(d, bench):
     return max(var(d, a) - t for t, a in zip(bench.times, bench.levels))
 
 
+def _lvar_atoms(values, probs, cum, bench):
+    return max(
+        _var_atoms(values, probs, cum, a) - t
+        for t, a in zip(bench.times.tolist(), bench.levels.tolist())
+    )
+
+
 # ---------------------------------------------------------------------------
 # Evaluator factories
 # ---------------------------------------------------------------------------
@@ -328,35 +398,39 @@ _MONETARY = ("monotone", "translation_invariant", "normalized")
 _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive", "convex")
 
 
+def _law_measure(name, claims, primitive, kernel, *params):
+    """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
+    small profiles by ``kernel(values, probs, cum, *params)``."""
+    rho = RiskEvaluator(
+        name, lambda x: primitive(distribution_of(x), *params), claims
+    )
+    rho._law = lambda values, probs, cum: kernel(values, probs, cum, *params)
+    return rho
+
+
 def var_measure(beta):
     claims = _MONETARY + ("positively_homogeneous", "star_shaped", "law_invariant")
-    return RiskEvaluator(
-        "var[%g]" % beta, lambda x: var(distribution_of(x), beta), claims
-    )
+    return _law_measure("var[%g]" % beta, claims, var, _var_atoms, beta)
 
 
 def es_measure(beta):
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return RiskEvaluator(
-        "es[%g]" % beta, lambda x: es(distribution_of(x), beta), claims
-    )
+    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, beta)
 
 
 def mean_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return RiskEvaluator("mean", lambda x: mean(distribution_of(x)), claims)
+    return _law_measure("mean", claims, mean, _mean_atoms)
 
 
 def worst_case_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return RiskEvaluator("worst_case", lambda x: worst_case(distribution_of(x)), claims)
+    return _law_measure("worst_case", claims, worst_case, _worst_case_atoms)
 
 
 def entropic_measure(lam):
     claims = _MONETARY + ("star_shaped", "convex", "law_invariant", "ssd_consistent")
-    return RiskEvaluator(
-        "entropic[%g]" % lam, lambda x: entropic(distribution_of(x), lam), claims
-    )
+    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms, lam)
 
 
 def shortfall_measure(u):
@@ -373,7 +447,7 @@ def shortfall_measure(u):
 
 def lvar_measure(bench):
     claims = _MONETARY + ("star_shaped", "law_invariant")
-    return RiskEvaluator("lvar", lambda x: lvar(distribution_of(x), bench), claims)
+    return _law_measure("lvar", claims, lvar, _lvar_atoms, bench)
 
 
 def _scenario_distributions(weight_rows):

@@ -13,6 +13,7 @@ function, so concurrent evaluation needs no coordination.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 
@@ -131,6 +132,7 @@ def _require_same_space(x, y):
 
 # Up to this many atoms sorting Python tuples is faster than numpy, whose
 # per-call overhead dominates at small n; above it the numpy build wins.
+# Law-invariant evaluators score profiles up to this size on plain lists.
 _PAIR_BUILD_MAX = 64
 
 
@@ -145,7 +147,7 @@ class LossDistribution:
     __slots__ = ("values", "probs", "cum")
 
     def __init__(self, atoms):
-        self._set(*_merge_pairs(sorted((float(v), float(p)) for v, p in atoms)))
+        self._set(*_plain_atoms((float(v), float(p)) for v, p in atoms))
 
     @classmethod
     def _from_arrays(cls, values, probs):
@@ -153,19 +155,18 @@ class LossDistribution:
         ``cls(zip(values, probs))`` bit for bit."""
         d = cls.__new__(cls)
         if values.size <= _PAIR_BUILD_MAX:
-            d._set(*_merge_pairs(sorted(zip(values.tolist(), probs.tolist()))))
+            d._set(*_plain_atoms(zip(values.tolist(), probs.tolist())))
         else:
-            d._set(*_merge_arrays(values, probs))
+            vals, probs = _merge_arrays(values, probs)
+            _check_mass(probs.tolist())
+            # np.cumsum adds in sequence, like itertools.accumulate
+            d._set(vals, probs, np.cumsum(probs))
         return d
 
-    def _set(self, vals, probs):
-        probs = np.asarray(probs)
-        total = math.fsum(probs.tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise DomainError("atom probabilities sum to %.17g, not 1" % total)
+    def _set(self, vals, probs, cum):
         self.values = np.asarray(vals)
-        self.probs = probs
-        self.cum = np.cumsum(probs)
+        self.probs = np.asarray(probs)
+        self.cum = np.asarray(cum)
         for a in (self.values, self.probs, self.cum):
             a.setflags(write=False)
 
@@ -176,10 +177,15 @@ class LossDistribution:
         return "LossDistribution(%s)" % list(zip(self.values, self.probs))
 
 
-def _merge_pairs(pairs):
-    """Merge sorted (value, prob) pairs: a value within the merge tolerance
-    of the first value kept in its group adds its probability to that
-    group, in order.  Returns (values, probs) lists."""
+def _plain_atoms(pairs):
+    """Law of (value, prob) float pairs as plain lists (values, probs, cum).
+
+    The pairs are sorted; a value within the merge tolerance of the first
+    value kept in its group adds its probability to that group, in order;
+    the probabilities must sum to 1 within ``MASS_TOL``; ``cum`` is their
+    running total.
+    """
+    pairs = sorted(pairs)
     if not pairs:
         raise DomainError("distribution needs at least one atom")
     # sorted, so the largest magnitude is -min or max
@@ -193,11 +199,19 @@ def _merge_pairs(pairs):
         else:
             vals.append(v)
             probs.append(p)
-    return vals, probs
+    _check_mass(probs)
+    return vals, probs, list(accumulate(probs))
+
+
+def _check_mass(probs):
+    total = math.fsum(probs)
+    if abs(total - 1.0) > MASS_TOL:
+        raise DomainError("atom probabilities sum to %.17g, not 1" % total)
 
 
 def _merge_arrays(values, probs):
-    """``_merge_pairs`` on nonempty float arrays, vectorised.
+    """The merge of ``_plain_atoms`` on nonempty float arrays, vectorised;
+    returns (values, probs) arrays.
 
     Exactly equal values are ordered by probability, as tuples sort, so
     their sums add in the same order.  A group cut where consecutive

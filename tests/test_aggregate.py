@@ -14,6 +14,7 @@ from starrisk.state_space import (
 )
 from starrisk.measures import (
     RiskEvaluator,
+    entropic_measure,
     es_measure,
     mean_measure,
     var_measure,
@@ -251,6 +252,21 @@ class TestInfConvolution:
         assert all(
             np.array_equal(p.values, q.values) for p, q in zip(a.parts, b.parts)
         )
+
+    @pytest.mark.parametrize("members, space, values", [
+        ((es_measure(0.5), worst_case_measure()), U3, [1.0, -2.0, 4.0]),
+        ((entropic_measure(1.0), entropic_measure(2.5)), U2, [0.5, 3.0]),
+    ])
+    def test_kernel_members_give_the_same_split(self, members, space, values):
+        # members rebuilt without the plain-atom kernel take the array path
+        opaque = [RiskEvaluator(rho.name, rho._fn, rho.claims) for rho in members]
+        x = LossProfile(space, values)
+        cfg = SolverConfig(seed=5, starts=4)
+        a = inf_convolution(MeasureFamily(members, space), x, cfg)
+        b = inf_convolution(MeasureFamily(opaque, space), x, cfg)
+        assert [p.values.tobytes() for p in a.parts] == [p.values.tobytes() for p in b.parts]
+        assert a.total.hex() == b.total.hex()
+        assert a.meta == b.meta
 
     def test_gate_refuses_var_pair(self):
         fam = MeasureFamily([var_measure(0.5), var_measure(0.5)], U2)

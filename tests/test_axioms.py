@@ -223,6 +223,14 @@ def test_acceptance_bisection_scales_down(scale):
     assert math.isclose(m, es(distribution_of(x), 0.5), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize("c", [1e16, 1e17])
+def test_acceptance_bracket_opens_on_huge_constants(c):
+    # min(x) - 1 rounds to min(x) here, which left a bracket of zero width
+    x = profile([c, c, c])
+    m = measure_from_acceptance(lambda z: es_measure(0.5)(z) <= 0.0, x)
+    assert math.isclose(m, c, rel_tol=1e-12)
+
+
 class TestStarAcceptance:
     def test_var_holds(self):
         report = star_acceptance_check(var_measure(0.75), PROBES)

@@ -18,6 +18,7 @@ from starrisk.measures import (
     LossBenchmark,
     Utility,
     entropic,
+    entropic_measure,
     es,
     es_measure,
     lvar,
@@ -25,13 +26,16 @@ from starrisk.measures import (
     max_var,
     max_var_measure,
     mean,
+    mean_measure,
     med_var,
     med_var_measure,
     shortfall,
+    shortfall_measure,
     utility_is_star_compatible,
     var,
     var_measure,
     worst_case,
+    worst_case_measure,
 )
 
 import oracles
@@ -265,6 +269,15 @@ class TestShortfall:
         root = oracles.oracle_shortfall(values, [1 / 3] * 3, knots)
         assert math.isclose(root, 2.6e-12, rel_tol=1e-12)
 
+    def test_bisection_width_follows_scale(self):
+        # an absolute width of 1e-10 returned 1.5e-12 here; the rest of
+        # the gap to the root (2.5e-5 relative) is Utility's interpolation
+        values = [1e-12 * v for v in (-1.0, 2.0, 4.0)]
+        knots = [(-1.0, -3.0), (0.0, 0.0), (1.0, 1.0)]
+        x = LossProfile(StateSpace.uniform(3), values)
+        want = oracles.oracle_shortfall(values, [1 / 3] * 3, knots)
+        assert math.isclose(shortfall_measure(Utility(knots))(x), want, rel_tol=1e-4)
+
 
 class TestUtilityStarCompatibility:
     def test_concave_is_compatible(self):
@@ -331,3 +344,61 @@ def test_evaluator_claims_are_flags_only():
         from starrisk.measures import RiskEvaluator
 
         RiskEvaluator("bad", lambda x: 0.0, claims=("definitely_not_a_claim",))
+
+
+# -- plain-atom kernels -------------------------------------------------------
+
+@st.composite
+def small_profiles(draw):
+    """Profiles of 1 to 64 states with non-uniform weights, exact ties,
+    signed zeros and chains of near-merge steps, at magnitudes 1e-12 to
+    1e12."""
+    n = draw(st.integers(1, 64))
+    ints = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+    step = draw(st.sampled_from([0.0, 0.3e-12, 0.9e-12]))
+    scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-12, 12))
+    values = (np.array(ints, float) + step * np.array(steps)) * scale
+    return LossProfile(StateSpace(weights / weights.sum()), values)
+
+
+LEVELS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.0 - 1e-12, -0.5, 1.5]),
+)
+
+
+def outcome(call):
+    try:
+        return float(call()).hex()
+    except DomainError as exc:
+        return "DomainError: %s" % exc
+
+
+def kernel_cases(beta, lam):
+    bench = LossBenchmark([(0.0, 0.5), (0.5, 0.9), (2.0, 1.0)])
+    return [
+        (var_measure(beta), lambda d: var(d, beta)),
+        (es_measure(beta), lambda d: es(d, beta)),
+        (mean_measure(), mean),
+        (worst_case_measure(), worst_case),
+        (entropic_measure(lam), lambda d: entropic(d, lam)),
+        (lvar_measure(bench), lambda d: lvar(d, bench)),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_profiles(),
+    LEVELS,
+    st.one_of(
+        st.sampled_from([0.0, -1.0]),
+        st.integers(-12, 12).map(lambda e: 10.0 ** e),
+    ),
+)
+def test_kernels_match_array_primitives_bit_for_bit(x, beta, lam):
+    d = distribution_of(x)
+    for rho, primitive in kernel_cases(beta, lam):
+        assert rho._law is not None, rho.name
+        assert outcome(lambda: rho(x)) == outcome(lambda: primitive(d)), rho.name
