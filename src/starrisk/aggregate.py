@@ -9,12 +9,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .state_space import (
+    MASS_TOL,
     Capacity,
     DimensionError,
     DomainError,
     LossProfile,
 )
-from .measures import RiskEvaluator
+from .measures import _MONETARY, RiskEvaluator
+from .axioms import _PROBE_BOUND
 
 __all__ = [
     "MeasureFamily",
@@ -42,12 +44,7 @@ __all__ = [
 # homogeneity also passes through the exact aggregators (Choquet, blend)
 # but is not claimed for solver-backed ones, whose output carries
 # optimization error.
-_PASS_THROUGH = (
-    "monotone",
-    "translation_invariant",
-    "normalized",
-    "star_shaped",
-)
+_PASS_THROUGH = _MONETARY + ("star_shaped",)
 _PASS_THROUGH_EXACT = _PASS_THROUGH + ("positively_homogeneous",)
 
 
@@ -172,7 +169,7 @@ def additive_capacity(weights):
         raise DomainError("weights must be a nonempty vector")
     if np.any(w < 0.0):
         raise DomainError("weights must be nonnegative")
-    if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
+    if abs(math.fsum(w.tolist()) - 1.0) > MASS_TOL:
         raise DomainError("weights must sum to 1")
     k = w.size
     table = [float(w[[b for b in range(k) if mask >> b & 1]].sum())
@@ -183,14 +180,12 @@ def additive_capacity(weights):
 
 def sup_capacity(k):
     """Full weight on every nonempty subset; aggregates to the member max."""
-    k = int(k)
-    return Capacity(k, [0.0] + [1.0] * ((1 << k) - 1))
+    return order_statistic_capacity(k, k)
 
 
 def inf_capacity(k):
     """Weight only on the full set; aggregates to the member min."""
-    k = int(k)
-    return Capacity(k, [0.0] * ((1 << k) - 1) + [1.0])
+    return order_statistic_capacity(k, 1)
 
 
 # -- Inf-convolution --------------------------------------------------------
@@ -242,7 +237,7 @@ def normality_check(fam, samples=1000, seed=0):
     certificate_probes = 64
     certified = True
     for _ in range(certificate_probes):
-        v = rng.uniform(-5.0, 5.0, size=n)
+        v = rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=n)
         x = LossProfile(fam.space, v, _validate=False)
         floor = float(probs @ v)
         if any(rho(x) < floor - 1e-9 for rho in fam.members):
@@ -253,7 +248,7 @@ def normality_check(fam, samples=1000, seed=0):
 
     k = fam.size
     for i in range(int(samples)):
-        parts = rng.uniform(-5.0, 5.0, size=(k - 1, n)) if k > 1 else np.zeros((0, n))
+        parts = rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=(k - 1, n))
         last = -parts.sum(axis=0)
         tuples = list(parts) + [last]
         total = math.fsum(

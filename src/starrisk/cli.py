@@ -41,7 +41,6 @@ from .aggregate import (
     ccp_margin_measure,
     choquet_measure,
     ecb_blend_measure,
-    inf_capacity,
     inf_convolution,
     infconv_measure,
     normality_check,
@@ -87,8 +86,10 @@ def _clean(obj):
     return obj
 
 
-def _emit(report, args):
-    body = _clean(report)
+def _emit(args, **fields):
+    """Write the report of ``args.command``: its metadata plus ``fields``."""
+    metadata = {"version": __version__, "seed": args.seed, "tolerance": args.tol}
+    body = _clean({"command": args.command, "metadata": metadata, **fields})
     if args.pretty:
         text = json.dumps(body, sort_keys=True, indent=2)
     else:
@@ -179,13 +180,11 @@ def _need(entry, field):
 
 
 def _capacity_from(value, k, where):
-    if value == "sup":
-        return sup_capacity(k)
-    if value == "inf":
-        return inf_capacity(k)
-    if value == "median":
-        # lower median: the ((k+1)//2)-th smallest member value
-        return order_statistic_capacity(k, (k + 1) // 2)
+    # named capacity -> rank r: it aggregates to the r-th smallest member
+    # value ("median" is the lower median)
+    ranks = {"sup": k, "inf": 1, "median": (k + 1) // 2}
+    if isinstance(value, str) and value in ranks:
+        return order_statistic_capacity(k, ranks[value])
     if isinstance(value, dict):
         if "additive" in value:
             weights = value["additive"]
@@ -298,17 +297,19 @@ def build_measures(spec_obj, space, seed):
         if not isinstance(kind, str) or kind not in _KINDS:
             raise CliInputError("measure %r: unknown kind %r" % (name, kind))
         build, aggregate = _KINDS[kind]
-        fam = _member_family(entry, built, space) if aggregate else None
-        built[name] = build(entry, fam, seed)
+        try:
+            fam = _member_family(entry, built, space) if aggregate else None
+            built[name] = build(entry, fam, seed)
+        except DomainError:
+            raise
+        except (TypeError, ValueError) as err:
+            # a malformed field: a value of the wrong type or form
+            raise CliInputError("measure %r: %s" % (name, err)) from None
         kinds[name] = kind
     return built, kinds
 
 
 # -- commands ----------------------------------------------------------------
-
-
-def _metadata(args):
-    return {"version": __version__, "seed": args.seed, "tolerance": args.tol}
 
 
 def _load(args):
@@ -334,15 +335,8 @@ def _score(args, wanted):
 
 def cmd_eval(args):
     columns, kinds, results = _score(args, _KINDS)
-    report = {
-        "command": "eval",
-        "metadata": _metadata(args),
-        "input": args.input,
-        "columns": columns,
-        "measures": list(kinds),
-        "results": results,
-    }
-    _emit(report, args)
+    _emit(args, input=args.input, columns=columns, measures=list(kinds),
+          results=results)
     return 0
 
 
@@ -350,13 +344,7 @@ def cmd_aggregate(args):
     _, kinds, results = _score(args, AGGREGATE_KINDS)
     if not kinds:
         raise CliInputError("spec contains no aggregate measures")
-    report = {
-        "command": "aggregate",
-        "metadata": _metadata(args),
-        "kinds": kinds,
-        "results": results,
-    }
-    _emit(report, args)
+    _emit(args, kinds=kinds, results=results)
     return 0
 
 
@@ -369,14 +357,7 @@ def _audit(args, measures, count, checks, **fields):
         for name, rho in measures.items()
         for rep in checks(rho, probes)
     ]
-    report = {
-        "command": args.command,
-        "metadata": _metadata(args),
-        "measures": list(measures),
-        "reports": reports,
-        **fields,
-    }
-    _emit(report, args)
+    _emit(args, measures=list(measures), reports=reports, **fields)
     return int(any(r["verdict"] == "violated" for r in reports))
 
 
@@ -422,18 +403,12 @@ def cmd_infconv(args):
             "total": sol.total,
             "meta": sol.meta,
         }
-    report = {
-        "command": "infconv",
-        "metadata": _metadata(args),
-        "members": list(measures),
-        "normality": {
-            "passed": gate.passed,
-            "method": gate.method,
-            "samples_used": gate.samples_used,
-        },
-        "results": results,
+    normality = {
+        "passed": gate.passed,
+        "method": gate.method,
+        "samples_used": gate.samples_used,
     }
-    _emit(report, args)
+    _emit(args, members=list(measures), normality=normality, results=results)
     return 0
 
 
@@ -453,18 +428,9 @@ def cmd_optimize(args):
         for m in envelope_family(gamma_source, table.losses)
     ]
     rep, action, value, joint = _decomposition(target, table, gammas, args.tol)
-    report = {
-        "command": "optimize",
-        "metadata": _metadata(args),
-        "actions": list(table.actions),
-        "measures": list(measures),
-        "method": method,
-        "argmin": action,
-        "value": value,
-        "decomposition_gap": abs(value - joint),
-        "decomposition": rep.to_dict(),
-    }
-    _emit(report, args)
+    _emit(args, actions=list(table.actions), measures=list(measures), method=method,
+          argmin=action, value=value, decomposition_gap=abs(value - joint),
+          decomposition=rep.to_dict())
     return 0 if rep.verdict == "holds_on_sample" else 1
 
 
@@ -494,14 +460,7 @@ def cmd_margin(args):
             "parts": [p.values for p in sol.parts],
             "total": sol.total,
         }
-    report = {
-        "command": "margin",
-        "metadata": _metadata(args),
-        "members": list(measures),
-        "admissible": admissible,
-        "results": results,
-    }
-    _emit(report, args)
+    _emit(args, members=list(measures), admissible=admissible, results=results)
     return 0
 
 
@@ -548,8 +507,13 @@ def main(argv=None):
             "error: command %r samples; --seed is required\n" % args.command
         )
         return 2
-    if args.tol < 0:
-        sys.stderr.write("error: --tol must be nonnegative, got %g\n" % args.tol)
+    if not 0.0 <= args.tol < math.inf:
+        sys.stderr.write(
+            "error: --tol must be nonnegative and finite, got %g\n" % args.tol
+        )
+        return 2
+    if args.seed is not None and args.seed < 0:
+        sys.stderr.write("error: --seed must be nonnegative, got %d\n" % args.seed)
         return 2
     try:
         return fn(args)

@@ -17,8 +17,8 @@ from itertools import product
 import numpy as np
 
 from .state_space import DimensionError, DomainError, LossProfile
-from .axioms import _first_violation, _usable, check_axiom
-from .measures import RiskEvaluator
+from .axioms import _PROBE_BOUND, _first_violation, _usable, check_axiom
+from .measures import _MONETARY, RiskEvaluator
 from .aggregate import SolverConfig, MeasureFamily, inf_convolution
 
 __all__ = [
@@ -127,8 +127,7 @@ def envelope_member_measure(member, name=None):
     Segment members are convex monetary measures; cone members are
     additionally positively homogeneous, hence coherent.
     """
-    claims = ["monotone", "translation_invariant", "normalized", "convex",
-              "star_shaped"]
+    claims = list(_MONETARY) + ["convex", "star_shaped"]
     if member.homogeneous:
         claims += ["positively_homogeneous", "subadditive"]
     label = name or ("cone_member" if member.homogeneous else "segment_member")
@@ -144,7 +143,8 @@ def _domination_positions(x, count, rng):
     """Random generating positions on the probe's own space."""
     n = x.space.n
     return [
-        LossProfile(x.space, rng.uniform(-5.0, 5.0, size=n), _validate=False)
+        LossProfile(x.space, rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=n),
+                    _validate=False)
         for _ in range(count)
     ]
 
@@ -359,10 +359,11 @@ def _grid_points(n, box, per_axis):
     return np.array(list(product(*axes)))
 
 
-def _conjugate_on_grid(gamma, space, q, box, per_axis):
-    pts = _grid_points(space.n, box, per_axis)
+def _conjugate_on(gamma, space, q, points):
+    """Largest E_Q[X] - gamma(X) over the rows X of ``points``, with the
+    first row attaining it."""
     best, arg = -math.inf, None
-    for row in pts:
+    for row in points:
         v = float(q @ row) - gamma(LossProfile(space, row, _validate=False))
         if v > best:
             best, arg = v, row
@@ -389,8 +390,9 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
 
     alphas = []
     for q in scen:
-        best, arg = _conjugate_on_grid(gamma, space, q, box, per_axis)
         cur_box, cur_step = box, step
+        points = _grid_points(space.n, box, per_axis)
+        best, arg = _conjugate_on(gamma, space, q, points)
         # Refinement pass: chase boundary argmaxes outward first.
         expansions = 0
         while (
@@ -400,19 +402,17 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
         ):
             cur_box *= 4.0
             cur_step *= 4.0
-            best, arg = _conjugate_on_grid(gamma, space, q, cur_box, per_axis)
+            points = _grid_points(space.n, cur_box, per_axis)
+            best, arg = _conjugate_on(gamma, space, q, points)
             expansions += 1
         if best > _PENALTY_CAP:
             alphas.append(math.inf)
             continue
         if np.max(np.abs(arg)) < cur_box - 1e-12:
             # Interior argmax: local regrid at a quarter step.
-            fine = np.linspace(-cur_step, cur_step, 9)
-            for offset in product(*[fine] * space.n):
-                row = np.clip(arg + np.array(offset), -cur_box, cur_box)
-                v = float(q @ row) - gamma(LossProfile(space, row, _validate=False))
-                if v > best:
-                    best = v
+            offsets = _grid_points(space.n, cur_step, 9)
+            points = np.clip(arg + offsets, -cur_box, cur_box)
+            best = max(best, _conjugate_on(gamma, space, q, points)[0])
         alphas.append(max(best, 0.0))
 
     return PenaltyTable(

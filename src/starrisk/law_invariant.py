@@ -13,7 +13,7 @@ extremum.
 
 import numpy as np
 
-from .state_space import VALUE_MERGE_TOL, DomainError, distribution_of
+from .state_space import MASS_TOL, VALUE_MERGE_TOL, DomainError, distribution_of
 from .measures import _es_levels, es, mean, var, worst_case
 
 __all__ = [
@@ -192,17 +192,17 @@ def tail_event(x, alpha_prime):
     total = 0.0
     chosen = []
     for i in order:
-        if abs(total - target) <= 1e-12:
+        if abs(total - target) <= MASS_TOL:
             break
-        if total > target + 1e-12:
+        if total > target + MASS_TOL:
             break
         chosen.append(i)
         total += float(x.space.probs[i])
-    if abs(total - target) > 1e-12:
+    if abs(total - target) > MASS_TOL:
         probs = [float(x.space.probs[i]) for i in order]
         sums = np.concatenate([[0.0], np.cumsum(probs)])
-        below = sums[sums < target - 1e-12].max(initial=0.0)
-        above = sums[sums > target + 1e-12].min(initial=1.0)
+        below = sums[sums < target - MASS_TOL].max(initial=0.0)
+        above = sums[sums > target + MASS_TOL].min(initial=1.0)
         raise PrecisionError(
             "tail mass %.12g is not realizable; nearest levels are "
             "alpha'=%.12g and alpha'=%.12g" % (target, 1.0 - below, 1.0 - above)

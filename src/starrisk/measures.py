@@ -114,15 +114,12 @@ class RiskEvaluator:
 
 def var(d, beta):
     """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1]."""
-    _check_var_level(beta)
-    # P(X > v_i) <= 1 - beta  <=>  cum_i >= beta.
-    idx = int(np.searchsorted(d.cum, beta - MASS_TOL, side="left"))
-    idx = min(idx, len(d) - 1)
-    return float(d.values[idx])
+    return float(_var_atoms(d.values, d.probs, d.cum, beta))
 
 
 def _var_atoms(values, probs, cum, beta):
     _check_var_level(beta)
+    # P(X > v_i) <= 1 - beta  <=>  cum_i >= beta.
     return values[min(bisect_left(cum, beta - MASS_TOL), len(values) - 1)]
 
 
@@ -138,18 +135,14 @@ def es(d, beta):
     ``values[i]`` on the cell ``(cum[i-1], cum[i]]``, so the integral is a
     finite sum of cell overlaps with ``(beta, 1)``.
     """
-    _check_es_level(beta)
-    lows = np.concatenate(([0.0], d.cum[:-1]))
-    highs = np.minimum(d.cum, 1.0)
-    overlap = np.clip(highs - np.maximum(lows, beta), 0.0, None)
-    return float(math.fsum((d.values * overlap).tolist()) / (1.0 - beta))
+    return _es_levels(d, np.array([beta]))[0]
 
 
 def _es_atoms(values, probs, cum, beta):
     _check_es_level(beta)
     terms, low = [], 0.0
     for v, high in zip(values, cum):
-        # es's clipped overlap of the cell (low, high] with (beta, 1)
+        # clipped overlap of the cell (low, high] with (beta, 1)
         overlap = (high if high < 1.0 else 1.0) - (low if low > beta else beta)
         terms.append(v * (overlap if overlap > 0.0 else 0.0))
         low = high
@@ -162,8 +155,8 @@ def _check_es_level(beta):
 
 
 def _es_levels(d, levels):
-    """``[es(d, b) for b in levels]`` for a float array of levels, bit for
-    bit, in O(n) per level.
+    """ES of ``d`` at each level of a float array, in O(n) per level;
+    ``es`` is its one-level case.
 
     Cells wholly above a level contribute ``value * cell width``; these
     products are formed once.  The cell holding the level adds its partial
@@ -173,14 +166,13 @@ def _es_levels(d, levels):
     lows = np.concatenate(([0.0], d.cum[:-1]))
     highs = np.minimum(d.cum, 1.0)
     full = (d.values * np.clip(highs - lows, 0.0, None)).tolist()
-    values, highs = d.values.tolist(), highs.tolist()
     # the cell holding b is the last one starting below it
     cells = np.searchsorted(lows, levels, side="left") - 1
     out = []
-    for b, k in zip(levels.tolist(), cells.tolist()):
+    for b, k, v, high in zip(levels.tolist(), cells.tolist(),
+                             d.values[cells].tolist(), highs[cells].tolist()):
         _check_es_level(b)
-        partial = values[k] * max(highs[k] - b, 0.0)
-        out.append(math.fsum(full[k + 1:] + [partial]) / (1.0 - b))
+        out.append(math.fsum(full[k + 1:] + [v * max(high - b, 0.0)]) / (1.0 - b))
     return out
 
 
@@ -296,25 +288,13 @@ def utility_is_star_compatible(u):
     extension slope (the ratio tends to that slope at infinity).
     """
     tol = 1e-12
-    pos = [(x, y) for x, y in zip(u.xs, u.ys) if x > tol]
-    neg = [(x, y) for x, y in zip(u.xs, u.ys) if x < -tol]
-    # Positive half-line: ratios at knots must not increase left to right,
-    # and the ratio at the last knot must dominate the final slope.
-    ratios = [y / x for x, y in pos]
-    for a, b in zip(ratios, ratios[1:]):
-        if b > a + tol:
-            return False
-    if pos and u.slopes[-1] > ratios[-1] + tol:
-        return False
-    # Negative half-line: same reading; the limit toward -infinity is the
-    # leading slope, which must dominate the ratio at the innermost knot.
-    ratios = [y / x for x, y in neg]
-    for a, b in zip(ratios, ratios[1:]):
-        if b > a + tol:
-            return False
-    if neg and ratios[0] > u.slopes[0] + tol:
-        return False
-    return True
+    # each half-line's knot ratios left to right, with the ratio's limit
+    # (the extension slope) at its far end
+    neg = [u.slopes[0]] + [y / x for x, y in zip(u.xs, u.ys) if x < -tol]
+    pos = [y / x for x, y in zip(u.xs, u.ys) if x > tol] + [u.slopes[-1]]
+    return not any(
+        b > a + tol for ratios in (neg, pos) for a, b in zip(ratios, ratios[1:])
+    )
 
 
 # width at which the shortfall bisection stops, times the law's largest
@@ -380,7 +360,7 @@ def lvar(d, bench):
     The benchmark is a right-continuous step and var is constant per step,
     so the supremum is attained at the left endpoint of one of the steps.
     """
-    return max(var(d, a) - t for t, a in zip(bench.times, bench.levels))
+    return float(_lvar_atoms(d.values, d.probs, d.cum, bench))
 
 
 def _lvar_atoms(values, probs, cum, bench):
@@ -450,35 +430,31 @@ def lvar_measure(bench):
     return _law_measure("lvar", claims, lvar, _lvar_atoms, bench)
 
 
-def _scenario_distributions(weight_rows):
+def _scenario_var_measure(label, robust, weight_rows, beta):
+    """Evaluator of ``robust(laws, beta)`` over the laws of x under each
+    weight row, pinned to the rows' common length."""
     spaces = [StateSpace(w) for w in weight_rows]
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise DomainError("scenario weight vectors must share one length")
 
-    def laws(x):
+    def fn(x):
         if x.space.n != n:
             raise DomainError(
                 "profile has %d states, scenarios expect %d" % (x.space.n, n)
             )
-        return [LossDistribution._from_arrays(x.values, s.probs) for s in spaces]
+        laws = [LossDistribution._from_arrays(x.values, s.probs) for s in spaces]
+        return robust(laws, beta)
 
-    return laws, n
+    claims = _MONETARY + ("positively_homogeneous", "star_shaped")
+    return RiskEvaluator("%s[%g]" % (label, beta), fn, claims, required_n=n)
 
 
 def max_var_measure(weight_rows, beta):
     """Robust VaR: worst var over the laws of x under alternative weights."""
-    laws, n = _scenario_distributions(weight_rows)
-    claims = _MONETARY + ("positively_homogeneous", "star_shaped")
-    return RiskEvaluator(
-        "maxvar[%g]" % beta, lambda x: max_var(laws(x), beta), claims, required_n=n
-    )
+    return _scenario_var_measure("maxvar", max_var, weight_rows, beta)
 
 
 def med_var_measure(weight_rows, beta):
     """Lower-median VaR over the laws of x under alternative weights."""
-    laws, n = _scenario_distributions(weight_rows)
-    claims = _MONETARY + ("positively_homogeneous", "star_shaped")
-    return RiskEvaluator(
-        "medvar[%g]" % beta, lambda x: med_var(laws(x), beta), claims, required_n=n
-    )
+    return _scenario_var_measure("medvar", med_var, weight_rows, beta)

@@ -48,6 +48,35 @@ def oracle_mean(values, probs):
     return math.fsum(v * p for v, p in zip(values, probs))
 
 
+# The law layer's former array formulas, kept as bit-for-bit references.
+# They read a law's sorted atom ``values`` and running ``cum`` masses as
+# float arrays and raise ValueError for a level outside the domain.
+
+def array_var(values, cum, beta):
+    """VaR by ``np.searchsorted``: the first atom whose running mass
+    reaches beta, with a 1e-12 slack; beta in (0, 1]."""
+    if not 0.0 < beta <= 1.0:
+        raise ValueError("var level %r" % beta)
+    idx = int(np.searchsorted(cum, beta - 1e-12, side="left"))
+    return float(values[min(idx, len(values) - 1)])
+
+
+def array_es(values, cum, beta):
+    """ES as the exactly rounded sum of each atom times the overlap of its
+    cell (cum[i-1], cum[i]] with (beta, 1), clipped at 0; beta in (0, 1)."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError("es level %r" % beta)
+    lows = np.concatenate(([0.0], cum[:-1]))
+    highs = np.minimum(cum, 1.0)
+    overlap = np.clip(highs - np.maximum(lows, beta), 0.0, None)
+    return float(math.fsum((values * overlap).tolist()) / (1.0 - beta))
+
+
+def array_lvar(values, cum, times, levels):
+    """LVaR as the largest ``array_var`` at a step's level minus its time."""
+    return max(array_var(values, cum, a) - t for t, a in zip(times, levels))
+
+
 # ---------------------------------------------------------------------------
 # Utility-based shortfall
 # ---------------------------------------------------------------------------
@@ -75,6 +104,24 @@ def pl_utility(knots):
         raise AssertionError("unreachable")
 
     return u
+
+
+def oracle_star_compatible(knots, tol=1e-9):
+    """Whether u(x)/x is nonincreasing from left to right on each half-line.
+
+    Sampled through ``pl_utility`` at every multiple of 1/8 out to twice
+    the outermost knot, plus x = -1e6 and x = 1e6 for the tails.  Between
+    two samples on one linear piece the ratio is monotone, so for knots
+    on that grid the samples decide it.
+    """
+    u = pl_utility(knots)
+    reach = 2.0 * max(abs(float(x)) for x, _ in knots) + 1.0
+    grid = [k / 8.0 for k in range(1, int(8 * reach) + 1)]
+    for xs in ([-1e6] + [-g for g in reversed(grid)], grid + [1e6]):
+        ratios = [u(x) / x for x in xs]
+        if any(b > a + tol for a, b in zip(ratios, ratios[1:])):
+            return False
+    return True
 
 
 def oracle_shortfall(values, probs, knots, tol=0.0):

@@ -347,6 +347,51 @@ class TestInputErrors:
             "--tol must be nonnegative",
         )
 
+    def test_nan_tolerance(self, capsys):
+        # NaN compares false with everything, so every check would pass
+        err = expect_input_error(
+            capsys,
+            ["axioms", "--spec", str(DATA / "convex_check.json"), "--seed", "2",
+             "--tol", "nan"],
+            "--tol must be nonnegative",
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["axioms", "infconv"])
+    def test_negative_seed(self, command, capsys):
+        argv = [command, "--spec", str(DATA / "infconv_pair.json"), "--seed=-1"]
+        if command == "infconv":
+            argv += ["--input", str(DATA / "book.csv")]
+        err = expect_input_error(capsys, argv, "--seed must be nonnegative")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", [
+        {"kind": "var", "beta": "abc"},
+        {"kind": "es", "beta": None},
+        {"kind": "entropic", "lambda": [1]},
+        {"kind": "shortfall", "utility_knots": [[0, 0, 1]]},
+        {"kind": "lvar", "benchmark_steps": 5},
+        {"kind": "maxvar", "beta": 0.5, "members": [["a", "b", "c", "d"]]},
+        {"kind": "choquet", "members": ["v"], "capacity": {"order_statistic": "x"}},
+        {"kind": "choquet", "members": ["v"], "capacity": {"masks": {"a": 1}}},
+        {"kind": "choquet", "members": ["v"], "capacity": {"additive": ["x"]}},
+        {"kind": "blend", "members": ["v"], "weight": "w"},
+    ], ids=["beta-text", "beta-null", "lambda-list", "knot-triple", "steps-number",
+            "maxvar-text-weights", "order-statistic-text", "mask-text",
+            "additive-text", "blend-weight-text"])
+    def test_malformed_measure_field(self, entry, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": [
+            {"name": "v", "kind": "var", "beta": 0.5},
+            dict(entry, name="bad"),
+        ]}))
+        err = expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            "error: measure 'bad': ",
+        )
+        assert err.count("\n") == 1
+
     def test_spec_not_json(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
         bad.write_text("{not json")

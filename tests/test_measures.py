@@ -402,3 +402,88 @@ def test_kernels_match_array_primitives_bit_for_bit(x, beta, lam):
     for rho, primitive in kernel_cases(beta, lam):
         assert rho._law is not None, rho.name
         assert outcome(lambda: rho(x)) == outcome(lambda: primitive(d)), rho.name
+
+
+# -- the array primitives against their former formulas -------------------------
+
+@st.composite
+def large_profiles(draw):
+    """Profiles of 65 to 2,048 states with non-uniform weights, exact ties,
+    signed zeros side by side and chains of near-merge steps, at magnitudes
+    1e-12 to 1e12.  The per-state draws come from a seeded generator."""
+    n = draw(st.integers(65, 2048))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([3, 1000]))
+    ints = rng.integers(-spread, spread + 1, size=n)
+    steps = rng.integers(0, 6, size=n)
+    weights = rng.integers(1, 5, size=n).astype(float)
+    # steps of 0.3 or 0.9 times the merge tolerance at the largest magnitude
+    step = draw(st.sampled_from([0.0, 0.3e-12, 0.9e-12])) * spread
+    scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-12, 12))
+    values = (ints + step * steps) * scale
+    zeros = values == 0.0
+    values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    return LossProfile(StateSpace(weights / weights.sum()), values)
+
+
+def same_or_refused(value, reference):
+    """``value()`` equals ``reference()`` bit for bit, or raises DomainError
+    where the reference refuses the level."""
+    try:
+        want = reference()
+    except ValueError:
+        with pytest.raises(DomainError):
+            value()
+        return
+    assert value().hex() == want.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_profiles(), LEVELS, st.lists(st.integers(0, 10**6), max_size=4))
+def test_var_lvar_es_match_array_formulas(x, beta, picks):
+    d = distribution_of(x)
+    values, cum = d.values, d.cum
+    # the drawn level and some exact breakpoints of the law
+    levels = [beta, 1.0 - 1e-12] + [float(cum[i % len(cum)]) for i in picks]
+    for b in levels:
+        same_or_refused(lambda: var(d, b), lambda: oracles.array_var(values, cum, b))
+        same_or_refused(lambda: es(d, b), lambda: oracles.array_es(values, cum, b))
+    # steps spaced at the law's scale, so that each can attain the sup
+    scale = max(-float(values[0]), float(values[-1])) or 1.0
+    bench_levels = sorted({0.5, 0.9, 1.0} | ({beta} if 0.0 < beta <= 1.0 else set()))
+    bench = LossBenchmark([(0.5 * i * scale, a) for i, a in enumerate(bench_levels)])
+    same_or_refused(
+        lambda: lvar(d, bench),
+        lambda: oracles.array_lvar(values, cum, bench.times, bench.levels),
+    )
+
+
+@st.composite
+def integer_knot_utilities(draw):
+    """Knots at integers in [-4, 4] including (0, 0), with integer slopes
+    sorted down (concave), sorted up (convex) or as drawn (mixed)."""
+    xs = sorted(set(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=8))) | {0})
+    if len(xs) < 2:
+        xs.append(1)
+    slopes = draw(st.lists(st.integers(1, 5), min_size=len(xs) - 1,
+                           max_size=len(xs) - 1))
+    shape = draw(st.sampled_from(["concave", "convex", "mixed"]))
+    if shape != "mixed":
+        slopes.sort(reverse=shape == "concave")
+    ys = [0] * len(xs)
+    zero = xs.index(0)
+    for i in range(zero + 1, len(xs)):
+        ys[i] = ys[i - 1] + slopes[i - 1] * (xs[i] - xs[i - 1])
+    for i in range(zero - 1, -1, -1):
+        ys[i] = ys[i + 1] - slopes[i] * (xs[i + 1] - xs[i])
+    return shape, list(zip(xs, ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_knot_utilities())
+def test_star_compatibility_matches_ratio_oracle(case):
+    shape, knots = case
+    got = utility_is_star_compatible(Utility(knots))
+    assert got == oracles.oracle_star_compatible(knots)
+    if shape == "concave":
+        assert got
