@@ -14,6 +14,7 @@ from .state_space import (
     DimensionError,
     DomainError,
     LossProfile,
+    _check_index_count,
 )
 from .measures import _MONETARY, RiskEvaluator
 from .axioms import _PROBE_BOUND
@@ -157,6 +158,7 @@ def order_statistic_capacity(k, r):
     r = int(r)
     if not 1 <= r <= k:
         raise DomainError("rank must satisfy 1 <= r <= k, got r=%d, k=%d" % (r, k))
+    _check_index_count(k)
     need = k - r + 1
     table = [1.0 if mask.bit_count() >= need else 0.0 for mask in range(1 << k)]
     return Capacity(k, table)
@@ -171,7 +173,7 @@ def additive_capacity(weights):
         raise DomainError("weights must be nonnegative")
     if abs(math.fsum(w.tolist()) - 1.0) > MASS_TOL:
         raise DomainError("weights must sum to 1")
-    k = w.size
+    k = _check_index_count(w.size)
     table = [float(w[[b for b in range(k) if mask >> b & 1]].sum())
              for mask in range(1 << k)]
     table[-1] = 1.0
@@ -238,9 +240,9 @@ def normality_check(fam, samples=1000, seed=0):
     certified = True
     for _ in range(certificate_probes):
         v = rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=n)
-        x = LossProfile(fam.space, v, _validate=False)
         floor = float(probs @ v)
-        if any(rho(x) < floor - 1e-9 for rho in fam.members):
+        row = v.tolist()
+        if any(rho._score(row, fam.space) < floor - 1e-9 for rho in fam.members):
             certified = False
             break
     if certified:
@@ -252,8 +254,7 @@ def normality_check(fam, samples=1000, seed=0):
         last = -parts.sum(axis=0)
         tuples = list(parts) + [last]
         total = math.fsum(
-            rho(LossProfile(fam.space, z, _validate=False))
-            for rho, z in zip(fam.members, tuples)
+            rho._score(z, fam.space) for rho, z in zip(fam.members, tuples)
         )
         if total < -1e-9:
             witness = {"parts": [z.copy() for z in tuples], "total": total}
@@ -266,7 +267,7 @@ def _golden_line(objective, lo, hi, scan_points):
     bracketing cell to width ``_LINE_TOL``, or until the golden points are
     no longer strictly inside it (adjacent doubles spaced wider than the
     width).  Returns (argmin, value)."""
-    grid = np.linspace(lo, hi, scan_points)
+    grid = np.linspace(lo, hi, scan_points).tolist()
     vals = [objective(t) for t in grid]
     j = int(np.argmin(vals))
     a = grid[max(j - 1, 0)]
@@ -359,15 +360,18 @@ def inf_convolution(fam, x, config=None, assume_normal=False):
     members = fam.members
     free = (k - 1) * n
 
-    def total_of(theta):
+    def rows_of(theta):
+        """The split's parts as float lists: the free parts, then the
+        remainder that makes them sum to the target."""
         parts_v = theta.reshape(k - 1, n)
-        last = xv - parts_v.sum(axis=0)
-        vals = [
-            rho(LossProfile(space, v, _validate=False))
-            for rho, v in zip(members[:-1], parts_v)
-        ]
-        vals.append(members[-1](LossProfile(space, last, _validate=False)))
-        return math.fsum(vals)
+        rows = parts_v.tolist()
+        rows.append((xv - parts_v.sum(axis=0)).tolist())
+        return rows
+
+    def total_of(theta):
+        return math.fsum(
+            [rho._score(v, space) for rho, v in zip(members, rows_of(theta))]
+        )
 
     rng = np.random.default_rng(config.seed)
     starts = [np.tile(xv / k, k - 1), np.zeros(free)]
@@ -407,10 +411,8 @@ def inf_convolution(fam, x, config=None, assume_normal=False):
     best_theta, best_val = _direction_polish(
         total_of, best_theta, best_val, lo, hi, rng, config
     )
-    parts_v = best_theta.reshape(k - 1, n)
-    last = xv - parts_v.sum(axis=0)
     parts = tuple(
-        LossProfile(space, v, _validate=False) for v in list(parts_v) + [last]
+        LossProfile(space, v, _validate=False) for v in rows_of(best_theta)
     )
     total = math.fsum(rho(p) for rho, p in zip(members, parts))
     return SplitSolution(parts, total, meta)

@@ -38,6 +38,8 @@ _RESIDUAL_TOL = 1e-8
 _INFCONV_CHECK_CONFIG = SolverConfig(starts=6, scan_points=9)
 # penalty_of reports a conjugate that exceeds this as +inf
 _PENALTY_CAP = 1e6
+# entries per numpy block of candidate values in envelope_evaluate
+_BLOCK = 1 << 20
 
 
 class EnvelopeMember:
@@ -71,30 +73,47 @@ def envelope_evaluate(member, x):
     Minimizes f(a) = max_state(x - a * residual) over a in [0, 1]
     (a >= 0 in the cone case).  f is a maximum of affine lines, so its
     minimum sits at a = 0, at a = 1 on the segment, or where two lines
-    cross; all candidates are enumerated exactly.
+    cross; all candidates are enumerated exactly, in that order (pairs
+    of states row by row), and the first minimum is returned.  The
+    crossings are found on plain floats and their values f(a) computed
+    in numpy blocks of about 2**20 entries, so no array grows with n**2;
+    the arithmetic is still O(n**3).
     """
     if not x.space.same_as(member.y.space):
         raise DimensionError("profile and envelope member live on different spaces")
     xv = x.values
     r = member.residual.values
     n = xv.size
-
-    candidates = [0.0]
-    if not member.homogeneous:
-        candidates.append(1.0)
+    rows = max(1, _BLOCK // n)  # candidates per block
+    xl, rl = xv.tolist(), r.tolist()
+    pending = [0.0] if member.homogeneous else [0.0, 1.0]
+    best = None
     for i in range(n):
-        for j in range(i + 1, n):
-            dr = r[i] - r[j]
-            if dr == 0.0:
-                continue
-            a = (xv[i] - xv[j]) / dr
-            if a < 0.0:
-                continue
-            if not member.homogeneous and a > 1.0:
-                continue
-            candidates.append(a)
-
-    return min(float(np.max(xv - a * r)) for a in candidates)
+        # lines i < j cross at a = (x_i - x_j) / (r_i - r_j)
+        xi, ri = xl[i], rl[i]
+        for xj, rj in zip(xl[i + 1:], rl[i + 1:]):
+            dr = ri - rj
+            if dr != 0.0:
+                a = (xi - xj) / dr
+                if not (a < 0.0 or (a > 1.0 and not member.homogeneous)):
+                    pending.append(a)
+        if len(pending) < rows and i < n - 1:
+            continue
+        a = np.array(pending)
+        pending = []
+        for c in range(0, a.size, rows):
+            f = a[c:c + rows, None] * r
+            np.subtract(xv, f, out=f)
+            f = np.maximum.reduce(f, axis=1)
+            if best is None:
+                best = f[0]  # f(0) opens the running minimum
+            k = f.argmin()
+            if math.isnan(f[k]):  # argmin takes a NaN first; `<` never does
+                f[np.isnan(f)] = math.inf
+                k = f.argmin()
+            if f[k] < best:
+                best = f[k]
+    return float(best)
 
 
 def envelope_family(rho, ys, homogeneous=False):
@@ -363,8 +382,8 @@ def _conjugate_on(gamma, space, q, points):
     """Largest E_Q[X] - gamma(X) over the rows X of ``points``, with the
     first row attaining it."""
     best, arg = -math.inf, None
-    for row in points:
-        v = float(q @ row) - gamma(LossProfile(space, row, _validate=False))
+    for row, values in zip(points, points.tolist()):
+        v = float(q @ row) - gamma._score(values, space)
         if v > best:
             best, arg = v, row
     return best, arg

@@ -29,6 +29,7 @@ import numpy as np
 from .state_space import (
     DomainError,
     LossDistribution,
+    LossProfile,
     MASS_TOL,
     StateSpace,
     _PAIR_BUILD_MAX,
@@ -76,7 +77,10 @@ class RiskEvaluator:
     LVaR) also give their evaluator a kernel of the law's sorted atoms as
     plain Python lists.  Profiles of up to 64 states are scored by that
     kernel, which skips numpy's per-call overhead and returns the same
-    float bit for bit; larger profiles go through ``fn``.
+    float bit for bit; larger profiles go through ``fn``.  The split
+    solver, the normality gate and the penalty grid hand their rows to
+    ``_score`` as plain lists, so kernel-backed members skip building a
+    ``LossProfile`` there too.
     """
 
     __slots__ = ("name", "_fn", "claims", "required_n", "_law")
@@ -93,10 +97,17 @@ class RiskEvaluator:
         self._law = None
 
     def evaluate(self, x):
-        if self._law is not None and x.space.n <= _PAIR_BUILD_MAX:
-            atoms = _plain_atoms(zip(x.values.tolist(), x.space.probs.tolist()))
-            return float(self._law(*atoms))
-        return float(self._fn(x))
+        return self._score(x.values, x.space)
+
+    def _score(self, values, space):
+        """Charge of the loss ``values`` (a float list or array) on ``space``:
+        by the kernel when there is one and n <= 64, else by ``fn`` on a
+        profile of the values."""
+        if self._law is not None and space.n <= _PAIR_BUILD_MAX:
+            if not isinstance(values, list):
+                values = values.tolist()
+            return float(self._law(*_plain_atoms(zip(values, space.probs.tolist()))))
+        return float(self._fn(LossProfile(space, values, _validate=False)))
 
     __call__ = evaluate
 

@@ -295,9 +295,7 @@ class Capacity:
     __slots__ = ("index_count", "_table")
 
     def __init__(self, index_count, values):
-        k = int(index_count)
-        if not 1 <= k <= 16:
-            raise DomainError("capacity index count must be in 1..16")
+        k = _check_index_count(index_count)
         size = 1 << k
         table = np.zeros(size)
         if len(values) != size:
@@ -331,3 +329,12 @@ class Capacity:
     def of(self, mask):
         """Capacity of the subset encoded by ``mask``."""
         return float(self._table[mask])
+
+
+def _check_index_count(k):
+    """``k`` as an int, refused unless a ``Capacity`` can index that many
+    members; table builders call it before building the 2**k entries."""
+    k = int(k)
+    if not 1 <= k <= 16:
+        raise DomainError("capacity index count must be in 1..16")
+    return k

@@ -273,6 +273,32 @@ def oracle_envelope_value(x_values, residual_values, homogeneous, grid_step=1e-4
     return float(f.min())
 
 
+def loop_envelope_evaluate(x_values, residual_values, homogeneous):
+    """The envelope charge by the former one-candidate-at-a-time loop, kept
+    as a bit-for-bit reference: candidates a = 0, a = 1 (segment only),
+    then each crossing of the lines of states i < j in row-major order
+    with r_i != r_j, a >= 0 and (segment only) a <= 1; each scored as
+    ``np.max(x - a * r)``; the first minimum returned."""
+    xv = np.asarray(x_values, dtype=float)
+    r = np.asarray(residual_values, dtype=float)
+    n = xv.size
+    candidates = [0.0]
+    if not homogeneous:
+        candidates.append(1.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dr = r[i] - r[j]
+            if dr == 0.0:
+                continue
+            a = (xv[i] - xv[j]) / dr
+            if a < 0.0:
+                continue
+            if not homogeneous and a > 1.0:
+                continue
+            candidates.append(a)
+    return min(float(np.max(xv - a * r)) for a in candidates)
+
+
 # ---------------------------------------------------------------------------
 # Stochastic orders via concave utilities
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Choquet aggregation, normality gating, inf-convolution, margins, blends."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def const(v):
 
 def fam_of(values, space=U2):
     return MeasureFamily([const(v) for v in values], space)
+
+
+def assert_last_part_is_numpy_remainder(x, parts):
+    """The last part is the target minus numpy's axis-0 sum of the others,
+    bit for bit (that sum starts from +0.0, and adds pairwise from eight
+    rows on)."""
+    free = np.array([p.values for p in parts[:-1]])
+    assert parts[-1].values.tobytes() == (x.values - free.sum(axis=0)).tobytes()
 
 
 class TestMeasureFamily:
@@ -114,6 +123,18 @@ class TestChoquet:
         fam = fam_of([1.0, 2.0])
         with pytest.raises(DimensionError):
             choquet_aggregate(fam, sup_capacity(3), X0)
+
+    @pytest.mark.parametrize("k", [17, 18])
+    @pytest.mark.parametrize("build", [
+        lambda k: additive_capacity([1.0 / k] * k),
+        lambda k: order_statistic_capacity(k, 1),
+    ])
+    def test_oversized_capacity_refused_before_its_table(self, build, k):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=r"capacity index count must be in 1\.\.16"):
+            build(k)
+        # the 2**k table would take a good fraction of a second to build
+        assert time.perf_counter() - start < 0.05
 
     def test_matches_layer_cake_oracle(self):
         rng = np.random.default_rng(42)
@@ -179,6 +200,24 @@ class TestNormality:
         )
         assert total < -1e-9
         assert math.isclose(total, report.witness["total"], abs_tol=1e-12)
+
+    @pytest.mark.parametrize("members, space", [
+        ((var_measure(0.5), var_measure(0.5)), U2),
+        ((var_measure(0.75), es_measure(0.5), entropic_measure(1.0)), U4),
+        ((es_measure(0.5), mean_measure(), worst_case_measure()), U3),
+    ])
+    def test_kernel_members_give_the_same_report(self, members, space):
+        # members rebuilt without the plain-atom kernel take the array path
+        opaque = [RiskEvaluator(rho.name, rho._fn, rho.claims) for rho in members]
+        a = normality_check(MeasureFamily(members, space), samples=300, seed=3)
+        b = normality_check(MeasureFamily(opaque, space), samples=300, seed=3)
+        assert (a.passed, a.method, a.samples_used) == (b.passed, b.method, b.samples_used)
+        assert (a.witness is None) == (b.witness is None)
+        if a.witness is not None:
+            assert a.witness["total"].hex() == b.witness["total"].hex()
+            assert [z.tobytes() for z in a.witness["parts"]] == [
+                z.tobytes() for z in b.witness["parts"]
+            ]
 
 
 class TestInfConvolution:
@@ -256,6 +295,15 @@ class TestInfConvolution:
     @pytest.mark.parametrize("members, space, values", [
         ((es_measure(0.5), worst_case_measure()), U3, [1.0, -2.0, 4.0]),
         ((entropic_measure(1.0), entropic_measure(2.5)), U2, [0.5, 3.0]),
+        # three members, signed zeros in the target
+        ((es_measure(0.5), entropic_measure(1.0), worst_case_measure()), U4,
+         [-0.0, 1.0, 0.0, -2.0]),
+        # an opaque aggregate among kernel-backed members
+        ((mean_measure(), ecb_blend_measure(
+            MeasureFamily([es_measure(0.75), worst_case_measure()], U3), 0.5)), U3,
+         [-0.0, 2.0, -0.0]),
+        ((es_measure(0.5), worst_case_measure()), StateSpace.uniform(8),
+         [-0.0, 0.0, 1.5, -0.0, -1.0, 0.0, 2.0, -0.0]),
     ])
     def test_kernel_members_give_the_same_split(self, members, space, values):
         # members rebuilt without the plain-atom kernel take the array path
@@ -267,6 +315,23 @@ class TestInfConvolution:
         assert [p.values.tobytes() for p in a.parts] == [p.values.tobytes() for p in b.parts]
         assert a.total.hex() == b.total.hex()
         assert a.meta == b.meta
+        assert_last_part_is_numpy_remainder(x, a.parts)
+
+    @pytest.mark.parametrize("target", [-0.0, 0.0, 2.5, 0.7, -1.3])
+    def test_kernel_members_give_the_same_split_on_one_state(self, target):
+        # nine free parts: numpy's axis-0 sum adds them pairwise
+        space = StateSpace.uniform(1)
+        members = [es_measure(0.5), mean_measure(), worst_case_measure(),
+                   entropic_measure(1.5), var_measure(0.5)] * 2
+        opaque = [RiskEvaluator(rho.name, rho._fn, rho.claims) for rho in members]
+        x = LossProfile(space, [target])
+        cfg = SolverConfig(seed=5, starts=2, max_sweeps=2, polish_cap=10)
+        a = inf_convolution(MeasureFamily(members, space), x, cfg, assume_normal=True)
+        b = inf_convolution(MeasureFamily(opaque, space), x, cfg, assume_normal=True)
+        assert [p.values.tobytes() for p in a.parts] == [p.values.tobytes() for p in b.parts]
+        assert a.total.hex() == b.total.hex()
+        assert a.meta == b.meta
+        assert_last_part_is_numpy_remainder(x, a.parts)
 
     def test_gate_refuses_var_pair(self):
         fam = MeasureFamily([var_measure(0.5), var_measure(0.5)], U2)

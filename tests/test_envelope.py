@@ -1,9 +1,12 @@
 """Envelope members, minimum representations, and grid penalty conjugates."""
 
 import math
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starrisk.state_space import (
     DimensionError,
@@ -23,6 +26,7 @@ from starrisk.measures import (
 )
 from starrisk.aggregate import MeasureFamily, ecb_blend_measure
 from starrisk.axioms import DILATION_GRID, ProbeSet, check_axiom, default_probe_set
+from starrisk import envelope
 from starrisk.envelope import (
     EnvelopeMember,
     PenaltyTable,
@@ -100,6 +104,84 @@ class TestEnvelopeMember:
                 y = LossProfile(U3, rng.uniform(-5.0, 5.0, size=3))
                 member = EnvelopeMember(y, rho(y))
                 assert abs(envelope_evaluate(member, y) - rho(y)) <= 1e-12
+
+
+@st.composite
+def envelope_cases(draw):
+    """(member, x) on 1 to 80 states, segment or cone: integer grids give
+    tied values and repeated residuals (r_i = r_j), zeros come signed
+    either way, magnitudes run from 1e-12 to 1e12.  The per-state draws
+    come from a seeded generator."""
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values():
+        spread = draw(st.sampled_from([0, 1, 3, 1000]))
+        scale = 10.0 ** draw(st.integers(-12, 12))
+        if spread:
+            v = rng.integers(-spread, spread + 1, size=n) * scale
+        else:
+            v = rng.standard_normal(n) * scale
+        zeros = v == 0.0
+        v[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        return v
+
+    space = StateSpace.uniform(n)
+    y = LossProfile(space, values())
+    x = LossProfile(space, values())
+    # a generator's own value keeps an exact zero in the residual
+    rho_y = y.values[draw(st.integers(0, n - 1))]
+    return EnvelopeMember(y, rho_y, draw(st.booleans())), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(envelope_cases())
+def test_envelope_evaluate_matches_the_candidate_loop(case):
+    member, x = case
+    want = oracles.loop_envelope_evaluate(
+        x.values, member.residual.values, member.homogeneous
+    ).hex()
+    # small blocks split the candidates at every size, so the first
+    # minimum must carry across blocks
+    for block in (envelope._BLOCK, 1, 5, 64):
+        with mock.patch.object(envelope, "_BLOCK", block):
+            assert envelope_evaluate(member, x).hex() == want, block
+
+
+def test_envelope_evaluate_matches_the_loop_on_every_signed_zero_case():
+    # every member and target on 3 states with values in {-1, -0, 0, 1}:
+    # candidates often tie at zeros of either sign, so the first minimum
+    # must win within a block and across blocks
+    space = StateSpace.uniform(3)
+    grid = [LossProfile(space, v) for v in product((-1.0, -0.0, 0.0, 1.0), repeat=3)]
+    cases = [
+        (EnvelopeMember(y, y.values[k], homogeneous), x)
+        for y, k, homogeneous, x in product(grid, range(3), (False, True), grid)
+    ]
+    want = [
+        oracles.loop_envelope_evaluate(x.values, m.residual.values, m.homogeneous).hex()
+        for m, x in cases
+    ]
+    for block in (envelope._BLOCK, 1):
+        with mock.patch.object(envelope, "_BLOCK", block):
+            assert [envelope_evaluate(m, x).hex() for m, x in cases] == want, block
+
+
+def test_envelope_evaluate_skips_nan_candidates_like_the_loop():
+    # the crossing of states 0 and 1 overflows to a = inf, and inf * 0 at
+    # state 2 makes its value NaN, which the loop's min() never takes
+    member = EnvelopeMember(prof([1.0, -1.0, 0.0]), 0.0, homogeneous=True)
+    x = prof([1e308, -1e308, 0.0])
+    with np.errstate(all="ignore"):
+        want = oracles.loop_envelope_evaluate(x.values, member.residual.values, True)
+        got = envelope_evaluate(member, x)
+    assert got.hex() == want.hex() == (0.0).hex()
+    # an infinite residual makes f(0) NaN, and the loop's min() keeps it
+    with np.errstate(all="ignore"):
+        member = EnvelopeMember(prof([1.7e308, -1.7e308]), -1.7e308)
+        want = oracles.loop_envelope_evaluate([1.0, 2.0], member.residual.values, False)
+        got = envelope_evaluate(member, prof([1.0, 2.0]))
+    assert math.isnan(want) and math.isnan(got)
 
 
 class TestEnvelopeFamily:
@@ -304,6 +386,17 @@ class TestPenalty:
             rebuilt = table.reconstruct(x)
             assert rebuilt <= rho(x) + 1e-9
             assert abs(rebuilt - rho(x)) <= 0.05
+
+    def test_kernel_member_gives_the_same_table(self):
+        # criterion 09's measure, scenarios and box; the member rebuilt
+        # without its plain-atom kernel takes the array path
+        rho = es_measure(0.5)
+        opaque = RiskEvaluator(rho.name, rho._fn, rho.claims)
+        scenarios = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0),
+                     (1.25, 0.0), (0.0, 1.25), (1.5, 0.5)]
+        a = penalty_of(rho, U2, scenarios, box=4.0, step=0.25)
+        b = penalty_of(opaque, U2, scenarios, box=4.0, step=0.25)
+        assert a.alpha.tobytes() == b.alpha.tobytes()
 
     def test_groundedness_enforced(self):
         with pytest.raises(DomainError):
