@@ -98,10 +98,12 @@ class SplitSolution:
     """A feasible split of a target position with its total risk charge.
 
     ``parts`` sum to the target componentwise (exactly, by construction:
-    the last part absorbs the remainder).  ``meta`` records solver
-    provenance; attainment of the infimum is not decidable numerically,
-    so it is reported as "unknown" rather than claimed, except for a
-    single member, whose charge of the whole target is "exact".
+    the last part absorbs the remainder, or one part is the target and
+    the others are zero).  ``meta`` records solver provenance; attainment
+    of the infimum is not decidable numerically, so a search reports it
+    as "unknown" rather than claimed.  It is "exact" for a single member,
+    whose charge of the whole target is the infimum, and on the box route
+    of ``inf_convolution``.
     """
 
     parts: tuple
@@ -330,8 +332,50 @@ def _direction_polish(objective, theta, value, lo, hi, rng, config):
     return theta, value
 
 
+def _smallest_box(fam):
+    """Index of the member with the smallest dual set when every member
+    has a box level (``mean_measure``, ``es_measure``, ``worst_case_measure``),
+    else None.
+
+    Their dual sets are the probability simplex cut by q <= p / (1 - level)
+    (no cut at level 1), nested by level: {P} (mean, level 0) lies inside
+    every ES box, and every box inside the simplex (worst case).  The
+    first member at the lowest level is returned.
+    """
+    levels = [rho._level for rho in fam.members]
+    if None in levels:
+        return None
+    return levels.index(min(levels))
+
+
 def inf_convolution(fam, x, config=None, assume_normal=False):
     """Cheapest split of ``x`` among the family members.
+
+    When every member comes from ``mean_measure``, ``es_measure`` or
+    ``worst_case_measure`` the split is exact.  The penalty of an
+    inf-convolution is the sum of the members' penalties, so for coherent
+    members its dual set is the intersection of theirs; these dual sets
+    are nested, so that is the smallest one (``_smallest_box``).  That
+    member takes the whole target and every other member takes zero,
+    which a normalized member charges 0; the total is the winner's charge
+    of ``x``.  P lies in every such dual set, so no normality gate runs.
+
+    Any other family goes to the split search, ``_search_split``, which
+    refuses to run when the normality gate fails, unless ``assume_normal``
+    is set.
+    """
+    w = _smallest_box(fam)
+    if w is None:
+        return _search_split(fam, x, config, assume_normal)
+    fam._check(x)
+    zero = LossProfile(x.space, np.zeros(x.space.n), _validate=False)
+    parts = tuple(x if i == w else zero for i in range(fam.size))
+    meta = {"attainment": "exact", "converged": True}
+    return SplitSolution(parts, fam.members[w](x), meta)
+
+
+def _search_split(fam, x, config=None, assume_normal=False):
+    """Cheapest split of ``x`` found by search.
 
     Minimizes the summed member charges over all decompositions of the
     target, the last part absorbing the remainder so feasibility is
@@ -449,7 +493,11 @@ def ecb_blend(fam, weight, x):
 
 
 def _gate(fam, config):
-    """Raise unless the normality gate passes for ``fam``."""
+    """Raise unless the normality gate passes for ``fam``.  A family of
+    mean, ES and worst-case members passes at once: P lies in each of
+    their dual sets, so every split total is at least E_P of the target."""
+    if _smallest_box(fam) is not None:
+        return
     config = config or SolverConfig()
     report = normality_check(fam, _NORMALITY_SAMPLES, config.seed)
     if not report.passed:

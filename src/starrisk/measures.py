@@ -34,7 +34,7 @@ from .state_space import (
     StateSpace,
     _PAIR_BUILD_MAX,
     _bisect,
-    _plain_atoms,
+    _space_atoms,
     distribution_of,
 )
 
@@ -81,9 +81,13 @@ class RiskEvaluator:
     solver, the normality gate and the penalty grid hand their rows to
     ``_score`` as plain lists, so kernel-backed members skip building a
     ``LossProfile`` there too.
+
+    Mean, ES and worst case also record their ES level (mean 0, worst case
+    1).  Their dual sets are boxes cut from the probability simplex, nested
+    by level, which ``aggregate.inf_convolution`` uses to split exactly.
     """
 
-    __slots__ = ("name", "_fn", "claims", "required_n", "_law")
+    __slots__ = ("name", "_fn", "claims", "required_n", "_law", "_level")
 
     def __init__(self, name, fn, claims=(), required_n=None):
         unknown = set(claims) - KNOWN_CLAIMS
@@ -95,6 +99,8 @@ class RiskEvaluator:
         self.required_n = required_n
         # kernel(values, probs, cum) of plain lists; set by law factories
         self._law = None
+        # ES level of a box-dual primitive; set by its factory
+        self._level = None
 
     def evaluate(self, x):
         return self._score(x.values, x.space)
@@ -106,7 +112,7 @@ class RiskEvaluator:
         if self._law is not None and space.n <= _PAIR_BUILD_MAX:
             if not isinstance(values, list):
                 values = values.tolist()
-            return float(self._law(*_plain_atoms(zip(values, space.probs.tolist()))))
+            return float(self._law(*_space_atoms(values, space)))
         return float(self._fn(LossProfile(space, values, _validate=False)))
 
     __call__ = evaluate
@@ -389,13 +395,15 @@ _MONETARY = ("monotone", "translation_invariant", "normalized")
 _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive", "convex")
 
 
-def _law_measure(name, claims, primitive, kernel, *params):
+def _law_measure(name, claims, primitive, kernel, *params, level=None):
     """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
-    small profiles by ``kernel(values, probs, cum, *params)``."""
+    small profiles by ``kernel(values, probs, cum, *params)``; ``level``
+    is the ES level of a box-dual primitive."""
     rho = RiskEvaluator(
         name, lambda x: primitive(distribution_of(x), *params), claims
     )
     rho._law = lambda values, probs, cum: kernel(values, probs, cum, *params)
+    rho._level = level
     return rho
 
 
@@ -406,17 +414,20 @@ def var_measure(beta):
 
 def es_measure(beta):
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, beta)
+    # a level outside (0, 1) is refused on evaluation; it declares no box
+    level = beta if 0.0 < beta < 1.0 else None
+    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, beta, level=level)
 
 
 def mean_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return _law_measure("mean", claims, mean, _mean_atoms)
+    return _law_measure("mean", claims, mean, _mean_atoms, level=0.0)
 
 
 def worst_case_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return _law_measure("worst_case", claims, worst_case, _worst_case_atoms)
+    return _law_measure("worst_case", claims, worst_case, _worst_case_atoms,
+                        level=1.0)
 
 
 def entropic_measure(lam):

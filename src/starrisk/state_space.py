@@ -42,7 +42,7 @@ class StateSpace:
         within 1e-12.
     """
 
-    __slots__ = ("probs", "n")
+    __slots__ = ("probs", "n", "_plain")
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
@@ -59,6 +59,16 @@ class StateSpace:
         p.setflags(write=False)
         self.probs = p
         self.n = int(p.size)
+        self._plain = None
+
+    def _plain_probs(self):
+        """The weights as a float list, and whether they pass the
+        ``math.fsum`` mass check of plain-list laws.  Made on first use, so
+        a space whose laws are only built through arrays never pays."""
+        if self._plain is None:
+            probs = self.probs.tolist()
+            self._plain = probs, abs(math.fsum(probs) - 1.0) <= MASS_TOL
+        return self._plain
 
     @classmethod
     def uniform(cls, n):
@@ -180,27 +190,49 @@ class LossDistribution:
 def _plain_atoms(pairs):
     """Law of (value, prob) float pairs as plain lists (values, probs, cum).
 
-    The pairs are sorted; a value within the merge tolerance of the first
-    value kept in its group adds its probability to that group, in order;
-    the probabilities must sum to 1 within ``MASS_TOL``; ``cum`` is their
-    running total.
+    The pairs are sorted and merged by ``_merge_sorted``; the
+    probabilities must be strictly positive and sum to 1 within
+    ``MASS_TOL``; ``cum`` is their running total.
     """
     pairs = sorted(pairs)
+    if any(p <= 0.0 for _, p in pairs):
+        raise DomainError("atom probabilities must be strictly positive")
+    vals, probs = _merge_sorted(pairs)
+    _check_mass(probs)
+    return vals, probs, list(accumulate(probs))
+
+
+def _space_atoms(values, space):
+    """``_plain_atoms`` of a float list of losses on ``space``'s weights.
+
+    The weights are positive by construction.  Unless atoms merged, the
+    probabilities are a permutation of the weights, whose ``math.fsum``
+    is exactly rounded and so the same: the space's cached mass verdict
+    stands for them, and the check only runs (to raise) when it failed.
+    """
+    weights, mass_ok = space._plain_probs()
+    vals, probs = _merge_sorted(sorted(zip(values, weights)))
+    if len(vals) < space.n or not mass_ok:
+        _check_mass(probs)
+    return vals, probs, list(accumulate(probs))
+
+
+def _merge_sorted(pairs):
+    """Merge sorted (value, prob) pairs into (values, probs) lists: a value
+    within the merge tolerance of the first value kept in its group adds
+    its probability to that group, in order."""
     if not pairs:
         raise DomainError("distribution needs at least one atom")
     # sorted, so the largest magnitude is -min or max
     merge_tol = VALUE_MERGE_TOL * max(-pairs[0][0], pairs[-1][0])
     vals, probs = [], []
     for v, p in pairs:
-        if p <= 0.0:
-            raise DomainError("atom probabilities must be strictly positive")
         if vals and v - vals[-1] <= merge_tol:
             probs[-1] += p
         else:
             vals.append(v)
             probs.append(p)
-    _check_mass(probs)
-    return vals, probs, list(accumulate(probs))
+    return vals, probs
 
 
 def _check_mass(probs):
@@ -210,7 +242,7 @@ def _check_mass(probs):
 
 
 def _merge_arrays(values, probs):
-    """The merge of ``_plain_atoms`` on nonempty float arrays, vectorised;
+    """The merge of ``_merge_sorted`` on nonempty float arrays, vectorised;
     returns (values, probs) arrays.
 
     Exactly equal values are ordered by probability, as tuples sort, so
@@ -256,6 +288,10 @@ def pointwise_leq(x, y):
 
 def distribution_of(x):
     """Law of a ``LossProfile`` under its space's weights."""
+    if x.space.n <= _PAIR_BUILD_MAX:
+        d = LossDistribution.__new__(LossDistribution)
+        d._set(*_space_atoms(x.values.tolist(), x.space))
+        return d
     return LossDistribution._from_arrays(x.values, x.space.probs)
 
 

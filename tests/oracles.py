@@ -10,6 +10,7 @@ its own expected values.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -190,8 +191,26 @@ def oracle_choquet(member_values, capacity_of):
 
 
 # ---------------------------------------------------------------------------
-# Inf-convolution by grid search
+# Inf-convolution: box support functions and grid search
 # ---------------------------------------------------------------------------
+
+def oracle_box_support(x, p, u):
+    """Largest E_Q[x] over probability vectors Q cut by Q_s <= u_s.
+
+    The greedy fill: pour the mass of ``p`` onto the largest losses
+    first, each state up to its cap ``u_s`` (a float, a Fraction, or inf
+    for no cap).  Exact rational arithmetic, rounded once at the end.
+    With caps p_s / (1 - beta) this is ES_beta, with caps p_s the mean,
+    and with no caps the worst case.
+    """
+    left = sum(map(Fraction, p))
+    total = Fraction(0)
+    for s in sorted(range(len(x)), key=lambda s: -x[s]):
+        q = left if u[s] >= left else Fraction(u[s])
+        total += q * Fraction(x[s])
+        left -= q
+    return float(total)
+
 
 def oracle_infconv_pair(rho1, rho2, x_values, box=4.0, step=0.01):
     """Exact-to-grid optimum of rho1(Y) + rho2(X - Y) for two members.

@@ -2,9 +2,11 @@
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starrisk.state_space import (
     Capacity,
@@ -21,6 +23,7 @@ from starrisk.measures import (
     var_measure,
     worst_case_measure,
 )
+from starrisk import aggregate
 from starrisk.aggregate import (
     MeasureFamily,
     SolverConfig,
@@ -239,7 +242,7 @@ class TestInfConvolution:
         es5, wc = es_measure(0.5), worst_case_measure()
         fam = MeasureFamily([es5, wc], U2)
         x = LossProfile(U2, [0.0, 2.0])
-        sol = inf_convolution(fam, x, SolverConfig(seed=1, starts=8))
+        sol = aggregate._search_split(fam, x, SolverConfig(seed=1, starts=8))
 
         def r1(v):
             return es5(LossProfile(U2, v, _validate=False))
@@ -255,7 +258,7 @@ class TestInfConvolution:
     def test_parts_sum_to_target(self):
         fam = MeasureFamily([es_measure(0.5), worst_case_measure()], U3)
         x = LossProfile(U3, [1.0, -2.0, 4.0])
-        sol = inf_convolution(fam, x, SolverConfig(seed=2, starts=6))
+        sol = aggregate._search_split(fam, x, SolverConfig(seed=2, starts=6))
         total_parts = sum(p.values for p in sol.parts)
         assert np.allclose(total_parts, x.values, atol=1e-9)
         assert sol.meta["attainment"] == "unknown"
@@ -267,7 +270,7 @@ class TestInfConvolution:
         for _ in range(5):
             xv = rng.uniform(-3.0, 3.0, size=3)
             x = LossProfile(U3, xv)
-            sol = inf_convolution(fam, x, SolverConfig(seed=0, starts=6))
+            sol = aggregate._search_split(fam, x, SolverConfig(seed=0, starts=6))
             assert sol.total <= es5(x) + 1e-8
             assert sol.total <= wc(x) + 1e-8
             y = LossProfile(U3, rng.uniform(-3.0, 3.0, size=3))
@@ -277,16 +280,16 @@ class TestInfConvolution:
         fam = MeasureFamily([es_measure(0.5), worst_case_measure()], U3)
         x = LossProfile(U3, [0.5, -1.0, 2.0])
         cfg = SolverConfig(seed=4, starts=6)
-        base = inf_convolution(fam, x, cfg).total
-        shifted = inf_convolution(fam, x + 3.0, cfg).total
+        base = aggregate._search_split(fam, x, cfg).total
+        shifted = aggregate._search_split(fam, x + 3.0, cfg).total
         assert math.isclose(shifted, base + 3.0, abs_tol=1e-6)
 
     def test_deterministic(self):
         fam = MeasureFamily([es_measure(0.5), worst_case_measure()], U3)
         x = LossProfile(U3, [1.0, -2.0, 4.0])
         cfg = SolverConfig(seed=11)
-        a = inf_convolution(fam, x, cfg)
-        b = inf_convolution(fam, x, cfg)
+        a = aggregate._search_split(fam, x, cfg)
+        b = aggregate._search_split(fam, x, cfg)
         assert a.total == b.total
         assert all(
             np.array_equal(p.values, q.values) for p, q in zip(a.parts, b.parts)
@@ -310,8 +313,8 @@ class TestInfConvolution:
         opaque = [RiskEvaluator(rho.name, rho._fn, rho.claims) for rho in members]
         x = LossProfile(space, values)
         cfg = SolverConfig(seed=5, starts=4)
-        a = inf_convolution(MeasureFamily(members, space), x, cfg)
-        b = inf_convolution(MeasureFamily(opaque, space), x, cfg)
+        a = aggregate._search_split(MeasureFamily(members, space), x, cfg)
+        b = aggregate._search_split(MeasureFamily(opaque, space), x, cfg)
         assert [p.values.tobytes() for p in a.parts] == [p.values.tobytes() for p in b.parts]
         assert a.total.hex() == b.total.hex()
         assert a.meta == b.meta
@@ -333,6 +336,12 @@ class TestInfConvolution:
         assert a.meta == b.meta
         assert_last_part_is_numpy_remainder(x, a.parts)
 
+    def test_es_level_outside_unit_interval_takes_no_shortcut(self):
+        # refused on evaluation, as before the exact route existed
+        fam = MeasureFamily([es_measure(1.5), worst_case_measure()], U2)
+        with pytest.raises(DomainError):
+            inf_convolution(fam, LossProfile(U2, [1.0, 2.0]))
+
     def test_gate_refuses_var_pair(self):
         fam = MeasureFamily([var_measure(0.5), var_measure(0.5)], U2)
         x = LossProfile(U2, [1.0, 2.0])
@@ -348,8 +357,83 @@ class TestInfConvolution:
         es5 = es_measure(0.5)
         fam = MeasureFamily([es5, worst_case_measure()], U3)
         x = LossProfile(U3, [scale * v for v in (-1.0, 2.0, 4.0)])
-        sol = inf_convolution(fam, x, SolverConfig(starts=2))
+        sol = aggregate._search_split(fam, x, SolverConfig(starts=2))
         assert math.isclose(sol.total, es5(x), rel_tol=1e-9)
+
+
+# -- the exact route for mean, ES and worst-case families ---------------------
+
+# (name, ES level, member factory); mean is level 0 and worst case level 1
+BOX_MEMBERS = st.one_of(
+    st.just(("mean", 0.0, mean_measure)),
+    st.just(("worst_case", 1.0, worst_case_measure)),
+    # levels up to 0.99: the ES weights' rounding, amplified by 1/(1 - beta),
+    # then stays far below the 1e-12 tolerance
+    st.one_of(st.sampled_from([0.25, 0.5, 0.75]), st.floats(0.0, 0.99, exclude_min=True))
+    .map(lambda b: ("es", b, lambda b=b: es_measure(b))),
+)
+
+
+@st.composite
+def box_cases(draw):
+    """A family of 2 to 4 box-dual members on 1 to 8 weighted states, with
+    a target and a trial part: exact ties, signed zeros and near-merge
+    steps, at magnitudes 1e-12 to 1e12."""
+    n = draw(st.integers(1, 8))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+    space = StateSpace(weights / weights.sum())
+    scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-12, 12))
+    step = draw(st.sampled_from([0.0, 0.3e-12, 0.9e-12]))
+
+    def profile():
+        ints = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), float)
+        steps = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), float)
+        negative = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        values = (ints + step * steps) * scale
+        values[(values == 0.0) & np.array(negative)] = -0.0
+        return LossProfile(space, values)
+
+    kinds = draw(st.lists(BOX_MEMBERS, min_size=2, max_size=4))
+    return space, kinds, profile(), profile()
+
+
+@settings(max_examples=120, deadline=None)
+@given(box_cases())
+def test_box_family_split_is_the_smallest_box(case):
+    space, kinds, x, y = case
+    members = [make() for _, _, make in kinds]
+    fam = MeasureFamily(members, space)
+    sol = inf_convolution(fam, x)
+    assert sol.meta["attainment"] == "exact"
+
+    # the first member at the lowest level takes the whole target
+    levels = [level for _, level, _ in kinds]
+    w = levels.index(min(levels))
+    assert sol.total.hex() == members[w](x).hex()
+    zero = np.zeros(space.n).tobytes()
+    assert [p.values.tobytes() for p in sol.parts] == [
+        x.values.tobytes() if i == w else zero for i in range(len(members))
+    ]
+    assert np.array_equal(sum(p.values for p in sol.parts), x.values)
+
+    xs, ps = x.values.tolist(), space.probs.tolist()
+    caps = [Fraction(p) / (1 - Fraction(levels[w])) if levels[w] < 1.0 else math.inf
+            for p in ps]
+    scale = max(abs(v) for v in xs + y.values.tolist()) or 1.0
+    assert abs(sol.total - oracles.oracle_box_support(xs, ps, caps)) <= 1e-12 * scale
+
+    # no two-member split of x does better
+    for i, rho in enumerate(members):
+        for j, other in enumerate(members):
+            if i != j:
+                assert sol.total <= rho(y) + other(x - y) + 1e-12 * scale
+
+    # nor does a light search; its box is at least 1 wide, so its
+    # rounding is measured against max(1, |x|)
+    light = SolverConfig(seed=0, starts=1, max_sweeps=1, scan_points=5,
+                         polish_stall=1, polish_cap=2)
+    searched = aggregate._search_split(fam, x, light, assume_normal=True)
+    assert sol.total <= searched.total + 1e-9 * max(1.0, float(np.abs(x.values).max()))
 
 
 class TestCcpMargin:

@@ -143,6 +143,19 @@ def test_array_build_matches_pair_build(arrays):
     assert same_bits(merged_probs, ref.probs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(atom_arrays())
+def test_law_of_a_profile_matches_pair_build(arrays):
+    # distribution_of reuses its space's weight list and mass verdict
+    values, probs = arrays
+    x = LossProfile(StateSpace(probs), values)
+    ref = LossDistribution(zip(values.tolist(), probs.tolist()))
+    for _ in range(2):
+        d = distribution_of(x)
+        for name in ("values", "probs", "cum"):
+            assert same_bits(getattr(d, name), getattr(ref, name)), name
+
+
 def test_capacity_validation_and_lookup():
     # k=2 additive capacity with weights (0.3, 0.7); masks 0b01, 0b10, 0b11.
     cap = Capacity(2, {0: 0.0, 1: 0.3, 2: 0.7, 3: 1.0})
