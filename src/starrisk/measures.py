@@ -28,7 +28,6 @@ import numpy as np
 
 from .state_space import (
     DomainError,
-    LossDistribution,
     LossProfile,
     MASS_TOL,
     StateSpace,
@@ -465,7 +464,9 @@ def _scenario_var_measure(label, robust, weight_rows, beta):
             raise DomainError(
                 "profile has %d states, scenarios expect %d" % (x.space.n, n)
             )
-        laws = [LossDistribution._from_arrays(x.values, s.probs) for s in spaces]
+        laws = [
+            distribution_of(LossProfile(s, x.values, _validate=False)) for s in spaces
+        ]
         return robust(laws, beta)
 
     claims = _MONETARY + ("positively_homogeneous", "star_shaped")

@@ -164,13 +164,10 @@ class LossDistribution:
         """Law of float arrays ``values`` and ``probs``, equal to
         ``cls(zip(values, probs))`` bit for bit."""
         d = cls.__new__(cls)
-        if values.size <= _PAIR_BUILD_MAX:
-            d._set(*_plain_atoms(zip(values.tolist(), probs.tolist())))
-        else:
-            vals, probs = _merge_arrays(values, probs)
-            _check_mass(probs.tolist())
-            # np.cumsum adds in sequence, like itertools.accumulate
-            d._set(vals, probs, np.cumsum(probs))
+        vals, probs = _merge_arrays(values, probs)
+        _check_mass(probs.tolist())
+        # np.cumsum adds in sequence, like itertools.accumulate
+        d._set(vals, probs, np.cumsum(probs))
         return d
 
     def _set(self, vals, probs, cum):

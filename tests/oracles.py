@@ -293,11 +293,11 @@ def oracle_envelope_value(x_values, residual_values, homogeneous, grid_step=1e-4
 
 
 def loop_envelope_evaluate(x_values, residual_values, homogeneous):
-    """The envelope charge by the former one-candidate-at-a-time loop, kept
-    as a bit-for-bit reference: candidates a = 0, a = 1 (segment only),
-    then each crossing of the lines of states i < j in row-major order
-    with r_i != r_j, a >= 0 and (segment only) a <= 1; each scored as
-    ``np.max(x - a * r)``; the first minimum returned."""
+    """The envelope charge by scoring every candidate, O(n**3):
+    a = 0, a = 1 (segment only), then each crossing of the lines of
+    states i < j in row-major order with r_i != r_j, a >= 0 and (segment
+    only) a <= 1; each scored as ``np.max(x - a * r)``; the first minimum
+    returned."""
     xv = np.asarray(x_values, dtype=float)
     r = np.asarray(residual_values, dtype=float)
     n = xv.size
@@ -316,6 +316,23 @@ def loop_envelope_evaluate(x_values, residual_values, homogeneous):
                 continue
             candidates.append(a)
     return min(float(np.max(xv - a * r)) for a in candidates)
+
+
+def exact_envelope_value(x_values, residual_values, homogeneous):
+    """The envelope charge in exact rational arithmetic: the least
+    max_state(x - a * residual) over a = 0, a = 1 (segment only) and every
+    crossing of two lines in range, each a ``Fraction``.  Inputs must be
+    finite, and a cone member needs a residual with some entry <= 0."""
+    xs = [Fraction(v) for v in x_values]
+    rs = [Fraction(v) for v in residual_values]
+    candidates = [Fraction(0)] if homogeneous else [Fraction(0), Fraction(1)]
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            if rs[i] != rs[j]:
+                a = (xs[i] - xs[j]) / (rs[i] - rs[j])
+                if a >= 0 and (homogeneous or a <= 1):
+                    candidates.append(a)
+    return min(max(v - a * w for v, w in zip(xs, rs)) for a in candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -413,7 +413,7 @@ def test_criterion_09_dual_penalty_and_reconstruction():
 
 
 def test_criterion_10_cli_determinism_and_exit_contract(tmp_path):
-    with criterion(10, "all 12 golden CLI configs rerun byte-identical "
+    with criterion(10, "all 13 golden CLI configs rerun byte-identical "
                        "with the 0/1/2 exit contract"):
         seen_codes = set()
         for name, argv, expected in GOLDEN:
