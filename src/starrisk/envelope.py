@@ -73,12 +73,13 @@ def envelope_evaluate(member, x):
     line per state, built in O(n log n) by sorting the slopes -residual.
     Its minimum sits at a = 0, at a = 1 on the segment, at the vertex
     where the envelope turns from falling to rising, or on a flat piece,
-    where f is exactly that state's x.  These candidates and the vertex
-    before the turn are scored, each as max(x - a * residual), and the
-    first minimum is returned (NaN only when f(0) is NaN).  Scoring every
-    crossing instead can differ in the sign of a zero and in the last
-    bits; both stay within 4 * 2**-52 * max|x| of the exact minimum
-    (2.01 measured).
+    where f is exactly that state's x (on a cone, also when the piece
+    starts at a crossing that overflows).  These candidates and the
+    finite vertex before the turn are scored as max(x - a * residual),
+    and the first minimum is returned (NaN only when f(0) is NaN).
+    Scoring every crossing instead can differ in the sign of a zero and
+    in the last bits; both stay within 4 * 2**-52 * max|x| of the exact
+    minimum (2.01 measured).
     """
     if not x.space.same_as(member.y.space):
         raise DimensionError("profile and envelope member live on different spaces")
@@ -104,12 +105,14 @@ def envelope_evaluate(member, x):
     while k and hull[k - 1][0] < 0.0:
         k -= 1
     cands = [0.0] if member.homogeneous else [0.0, 1.0]
-    # the vertices at either end of the last line before the turn
-    cands += [a for a in at[max(k - 1, 1):k + 1] if not (a < 0.0 or a > top)]
+    # the finite vertices at either end of the last line before the turn
+    cands += [a for a in at[max(k - 1, 1):k + 1] if 0.0 <= a <= top and a != math.inf]
     scores = np.maximum.reduce(xv - np.array(cands)[:, None] * r, 1).tolist()
     if k and hull[k - 1][0] == 0.0:
-        # on a flat piece inside the range f is exactly that state's x
-        if max(at[k - 1], 0.0) < min(at[k] if k < len(at) else math.inf, top):
+        # on a flat piece inside the range f is exactly that state's x; on
+        # a cone a piece starting at an overflowed crossing is inside too
+        start, end = max(at[k - 1], 0.0), at[k] if k < len(at) else math.inf
+        if start < min(end, top) or start == top == math.inf:
             scores.append(hull[k - 1][1])
     return min(scores)
 
@@ -158,9 +161,8 @@ def envelope_member_measure(member, name=None):
 
 def _domination_positions(x, count, rng):
     """Random generating positions on the probe's own space."""
-    n = x.space.n
     return [
-        LossProfile(x.space, rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=n),
+        LossProfile(x.space, rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=x.space.n),
                     _validate=False)
         for _ in range(count)
     ]
@@ -340,10 +342,11 @@ _AGGREGATE_CASES = {
 class PenaltyTable:
     """Grid conjugates of a convex measure over scenario weightings.
 
-    ``alpha`` entries are nonnegative, possibly +inf.  Groundedness (the
-    finite minimum sitting at 0) is asserted at construction, so tables
-    are only built from scenario lists that reach the measure's dual
-    set.
+    ``alpha`` entries are nonnegative, possibly +inf.  A finite entry is
+    the best grid value found, so it is a lower bound of the conjugate.
+    Groundedness (the finite minimum sitting at 0) is asserted at
+    construction, so tables are only built from scenario lists that
+    reach the measure's dual set.
     """
 
     space: object
@@ -372,16 +375,16 @@ class PenaltyTable:
 
 
 def _grid_points(n, box, per_axis):
-    axes = [np.linspace(-box, box, per_axis)] * n
-    return np.array(list(product(*axes)))
+    # the cube [-box, box]**n, one point per row, the last axis fastest
+    axes = np.meshgrid(*[np.linspace(-box, box, per_axis)] * n, indexing="ij")
+    return np.stack(axes, -1).reshape(-1, n)
 
 
-def _conjugate_on(gamma, space, q, points):
-    """Largest E_Q[X] - gamma(X) over the rows X of ``points``, with the
-    first row attaining it."""
+def _conjugate(q, points, charges):
+    """Largest E_Q[X] - charge(X) over the rows X, and the first X at it."""
     best, arg = -math.inf, None
-    for row, values in zip(points, points.tolist()):
-        v = float(q @ row) - gamma._score(values, space)
+    for row, charge in zip(points, charges):
+        v = float(q @ row) - charge
         if v > best:
             best, arg = v, row
     return best, arg
@@ -390,14 +393,14 @@ def _conjugate_on(gamma, space, q, points):
 def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     """Conjugate sup_X (E_Q[X] - gamma(X)) per scenario, by grid search.
 
-    The base pass scans the box at the given step.  One refinement pass
-    follows: an interior argmax is polished on a local grid at a quarter
-    of the step; an argmax stuck on the box boundary triggers geometric
-    box expansion (resolution scaled along), and values that exceed 1e6
-    on the way are reported as +inf.  Scenario vectors must be
-    nonnegative but may sit outside the probability simplex; improper
-    weightings are exactly what exposes unbounded penalties on small
-    spaces.
+    Passes scan the boxes box * 4**k (k = 0..12) at step * 4**k, one
+    grid and one charge of gamma per box shared by every scenario still
+    searching.  A scenario keeps its best pass and stops at the first
+    pass whose argmax is interior (then polished on a local grid at a
+    quarter of the step), whose value exceeds 1e6 (reported as +inf), or
+    that does not raise its value.  Scenario vectors must be nonnegative
+    but may sit outside the probability simplex; improper weightings are
+    exactly what exposes unbounded penalties on small spaces.
     """
     scen = [np.asarray(q, dtype=float) for q in scenarios]
     for q in scen:
@@ -405,36 +408,30 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
             raise DomainError("scenario weights must be nonnegative, one per state")
     per_axis = int(round(2 * box / step)) + 1
 
-    alphas = []
-    for q in scen:
-        cur_box, cur_step = box, step
-        points = _grid_points(space.n, box, per_axis)
-        best, arg = _conjugate_on(gamma, space, q, points)
-        # Refinement pass: chase boundary argmaxes outward first.
-        expansions = 0
-        while (
-            np.max(np.abs(arg)) >= cur_box - 1e-12
-            and best <= _PENALTY_CAP
-            and expansions < 12
-        ):
-            cur_box *= 4.0
-            cur_step *= 4.0
-            points = _grid_points(space.n, cur_box, per_axis)
-            best, arg = _conjugate_on(gamma, space, q, points)
-            expansions += 1
-        if best > _PENALTY_CAP:
-            alphas.append(math.inf)
-            continue
-        if np.max(np.abs(arg)) < cur_box - 1e-12:
-            # Interior argmax: local regrid at a quarter step.
-            offsets = _grid_points(space.n, cur_step, 9)
-            points = np.clip(arg + offsets, -cur_box, cur_box)
-            best = max(best, _conjugate_on(gamma, space, q, points)[0])
-        alphas.append(max(best, 0.0))
-
-    return PenaltyTable(
-        space,
-        tuple(scen),
-        np.array(alphas),
-        {"box": box, "step": step, "cap": _PENALTY_CAP},
-    )
+    best = [-math.inf] * len(scen)
+    searching, k = range(len(scen)), 0
+    while searching and k <= 12:  # the base box and up to 12 expansions
+        cur_box, cur_step = box * 4.0**k, step * 4.0**k
+        points = _grid_points(space.n, cur_box, per_axis)
+        charges = [gamma._score(values, space) for values in points.tolist()]
+        still = []
+        for i in searching:
+            value, arg = _conjugate(scen[i], points, charges)
+            if not value > best[i]:
+                continue  # the wider box found nothing better
+            if value > _PENALTY_CAP:
+                best[i] = math.inf
+            elif np.max(np.abs(arg)) >= cur_box - 1e-12:
+                best[i] = value
+                still.append(i)  # argmax on the box edge: widen the box
+            else:  # interior argmax: polish on a local grid at a quarter step
+                local = _grid_points(space.n, cur_step, 9)
+                local = np.clip(arg + local, -cur_box, cur_box)
+                near = [gamma._score(values, space) for values in local.tolist()]
+                best[i] = max(value, _conjugate(scen[i], local, near)[0])
+        searching, k = still, k + 1
+    if -math.inf in best:  # no row of the base grid gave a number
+        raise DomainError("no finite conjugate value on the penalty grid")
+    alpha = np.array([max(b, 0.0) for b in best])
+    meta = {"box": box, "step": step, "cap": _PENALTY_CAP}
+    return PenaltyTable(space, tuple(scen), alpha, meta)

@@ -299,15 +299,13 @@ def utility_is_star_compatible(u):
     """True iff the chord slope u(x)/x is nonincreasing on each half-line.
 
     Checked exactly: within one linear segment the ratio is monotone, so
-    knot-to-knot comparisons plus the two tail conditions decide it.
-    The tail conditions compare the chord at the extreme knot with the
-    extension slope (the ratio tends to that slope at infinity).
+    knot-to-knot comparisons decide it.  The tails need no test of their
+    own: the ratio at an outermost knot is a weighted average of its
+    neighbour's ratio and the tail slope, the tail ratio's limit.
     """
     tol = 1e-12
-    # each half-line's knot ratios left to right, with the ratio's limit
-    # (the extension slope) at its far end
-    neg = [u.slopes[0]] + [y / x for x, y in zip(u.xs, u.ys) if x < -tol]
-    pos = [y / x for x, y in zip(u.xs, u.ys) if x > tol] + [u.slopes[-1]]
+    neg = [y / x for x, y in zip(u.xs, u.ys) if x < -tol]
+    pos = [y / x for x, y in zip(u.xs, u.ys) if x > tol]
     return not any(
         b > a + tol for ratios in (neg, pos) for a, b in zip(ratios, ratios[1:])
     )

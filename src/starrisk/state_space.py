@@ -79,7 +79,9 @@ class StateSpace:
 
     def same_as(self, other):
         """True when both spaces have identical weights (shared domain)."""
-        return self.n == other.n and bool(np.array_equal(self.probs, other.probs))
+        return self is other or (
+            self.n == other.n and bool(np.array_equal(self.probs, other.probs))
+        )
 
     def __repr__(self):
         return "StateSpace(%s)" % np.array2string(self.probs, separator=", ")

@@ -335,6 +335,13 @@ def exact_envelope_value(x_values, residual_values, homogeneous):
     return min(max(v - a * w for v, w in zip(xs, rs)) for a in candidates)
 
 
+def entropic_penalty(q, p, lam):
+    """Dual penalty of the entropic measure with parameter ``lam``:
+    lam * KL(Q || P) = lam * sum q log(q / p), with 0 log 0 = 0 (Follmer
+    and Schied).  Q must be a probability vector."""
+    return lam * math.fsum(a * math.log(a / b) for a, b in zip(q, p) if a > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Stochastic orders via concave utilities
 # ---------------------------------------------------------------------------

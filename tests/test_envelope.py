@@ -233,6 +233,17 @@ def test_envelope_evaluate_skips_nan_candidates_like_the_loop():
     assert math.isnan(want) and math.isnan(got)
 
 
+def test_envelope_evaluate_keeps_a_flat_piece_past_an_overflowed_crossing():
+    # the cone member's minimum sits at a = 2**1074, where the crossing
+    # overflows to inf; f is 0 from there on, state 1's flat line
+    member = EnvelopeMember(prof([5e-324, 0.0]), 0.0, homogeneous=True)
+    x = prof([1.0, 0.0])
+    with np.errstate(all="raise"):
+        got = envelope_evaluate(member, x)
+    assert got == 0.0
+    assert oracles.exact_envelope_value(x.values, member.residual.values, True) == 0
+
+
 class TestEnvelopeFamily:
     def test_round_trip_at_generator(self):
         rho = es_measure(0.5)
@@ -446,6 +457,25 @@ class TestPenalty:
         a = penalty_of(rho, U2, scenarios, box=4.0, step=0.25)
         b = penalty_of(opaque, U2, scenarios, box=4.0, step=0.25)
         assert a.alpha.tobytes() == b.alpha.tobytes()
+
+    @pytest.mark.parametrize("lam, p, q, grid", [
+        (0.7, (0.2, 0.8), (0.05, 0.95), {}),
+        (1.5, (0.5, 0.5), (0.3, 0.7), {"box": 4.0, "step": 0.5}),
+        (0.7, (0.2, 0.3, 0.5), (0.6, 0.3, 0.1), {"box": 2.0, "step": 0.5}),
+    ])
+    def test_entropic_penalty_is_the_relative_entropy(self, lam, p, q, grid):
+        # sup_X (E_Q[X] - rho(X)) is attained on a whole line of cash
+        # translates, so every pass's first argmax sits on the box edge;
+        # a grid value is a lower bound of the sup
+        table = penalty_of(entropic_measure(lam), StateSpace(p), [p, q], **grid)
+        want = oracles.entropic_penalty(q, p, lam)
+        assert table.alpha[0] == pytest.approx(0.0, abs=1e-9)
+        assert 0.95 * want <= table.alpha[1] <= want * (1 + 1e-12)
+
+    def test_measure_without_a_finite_value_is_refused(self):
+        gamma = RiskEvaluator("nowhere_finite", lambda x: math.nan)
+        with pytest.raises(DomainError, match="no finite conjugate"):
+            penalty_of(gamma, U2, [(0.5, 0.5)], box=1.0, step=0.5)
 
     def test_groundedness_enforced(self):
         with pytest.raises(DomainError):
