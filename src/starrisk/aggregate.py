@@ -298,14 +298,16 @@ def _golden_line(objective, lo, hi, scan_points):
 
 def _direction_polish(objective, theta, value, lo, hi, rng, config):
     """Line searches along random unit directions until ``polish_stall``
-    consecutive rounds fail to improve (or ``polish_cap`` rounds total)."""
-    free = theta.size
+    consecutive rounds fail to improve (or ``polish_cap`` rounds total).
+    ``theta`` is a float list; each point on a line is clipped to the box
+    entrywise, which gives ``np.clip``'s bits on finite values."""
+    free = len(theta)
     stalled = 0
     for _ in range(config.polish_cap):
         if stalled >= config.polish_stall:
             break
         d = rng.standard_normal(free)
-        d /= np.linalg.norm(d)
+        d = (d / np.linalg.norm(d)).tolist()
         # Feasible parameter interval keeping theta + t*d inside the box.
         t_lo, t_hi = -math.inf, math.inf
         for i in range(free):
@@ -319,12 +321,13 @@ def _direction_polish(objective, theta, value, lo, hi, rng, config):
             stalled += 1
             continue
 
-        def line(t):
-            return objective(np.clip(theta + t * d, lo, hi))
+        def along(t):
+            return [min(max(a + t * b, lo), hi) for a, b in zip(theta, d)]
 
-        t_best, v_best = _golden_line(line, t_lo, t_hi, config.scan_points)
+        t_best, v_best = _golden_line(lambda t: objective(along(t)),
+                                      t_lo, t_hi, config.scan_points)
         if v_best < value - _IMPROVE_TOL:
-            theta = np.clip(theta + t_best * d, lo, hi)
+            theta = along(t_best)
             value = v_best
             stalled = 0
         else:
@@ -380,8 +383,11 @@ def _search_split(fam, x, config=None, assume_normal=False):
     Minimizes the summed member charges over all decompositions of the
     target, the last part absorbing the remainder so feasibility is
     exact.  Multi-start coordinate descent with golden-section line
-    searches; deterministic for a fixed config.  Refuses to run when the
-    normality gate fails, unless ``assume_normal`` is set.
+    searches; deterministic for a fixed config.  The parts are plain
+    float lists, and a point on the line of free coordinate (r, j) moves
+    only part r and the remainder, so only those two members are
+    rescored there; the other charges carry over.  Refuses to run when
+    the normality gate fails, unless ``assume_normal`` is set.
     """
     config = config or SolverConfig()
     fam._check(x)
@@ -397,6 +403,7 @@ def _search_split(fam, x, config=None, assume_normal=False):
 
     n = x.space.n
     xv = x.values
+    xs = xv.tolist()
     span = max(float(xv.max() - xv.min()), 1.0)
     lo = float(xv.min()) - span
     hi = float(xv.max()) + span
@@ -404,12 +411,25 @@ def _search_split(fam, x, config=None, assume_normal=False):
     members = fam.members
     free = (k - 1) * n
 
+    def settle(rows, j):
+        """Set the remainder's entry j to x_j less the free parts, summed as
+        numpy's axis-0 sum does: from +0.0 in row order (pairwise from
+        eight rows on a single state)."""
+        if n == 1 and k > 8:
+            s = float(np.sum([row[0] for row in rows[:-1]]))
+        else:
+            s = 0.0
+            for row in rows[:-1]:
+                s += row[j]
+        rows[-1][j] = xs[j] - s
+
     def rows_of(theta):
-        """The split's parts as float lists: the free parts, then the
-        remainder that makes them sum to the target."""
-        parts_v = theta.reshape(k - 1, n)
-        rows = parts_v.tolist()
-        rows.append((xv - parts_v.sum(axis=0)).tolist())
+        """The split's parts as float lists: the free parts of the flat
+        list ``theta``, then the remainder that makes them sum to the
+        target."""
+        rows = [theta[r * n:(r + 1) * n] for r in range(k - 1)] + [[0.0] * n]
+        for j in range(n):
+            settle(rows, j)
         return rows
 
     def total_of(theta):
@@ -426,30 +446,35 @@ def _search_split(fam, x, config=None, assume_normal=False):
 
     best_theta, best_val, best_idx = None, math.inf, -1
     for s_idx, theta0 in enumerate(starts[: config.starts]):
-        theta = np.clip(theta0.astype(float), lo, hi)
-        value = total_of(theta)
+        rows = rows_of(np.clip(theta0.astype(float), lo, hi).tolist())
+        charges = [rho._score(v, space) for rho, v in zip(members, rows)]
+        value = math.fsum(charges)
         converged = False
         for _ in range(config.max_sweeps):
             before = value
-            for c in range(free):
-                def line(t, _c=c):
-                    old = theta[_c]
-                    theta[_c] = t
-                    v = total_of(theta)
-                    theta[_c] = old
-                    return v
+            for r in range(k - 1):
+                rho, row = members[r], rows[r]
+                for j in range(n):
+                    def line(t):
+                        row[j] = t
+                        settle(rows, j)
+                        charges[r] = rho._score(row, space)
+                        charges[-1] = members[-1]._score(rows[-1], space)
+                        return math.fsum(charges)
 
-                t_best, v_best = _golden_line(line, lo, hi, config.scan_points)
-                if v_best < value:
-                    theta[c] = t_best
-                    value = v_best
+                    old = row[j]
+                    t_best, v_best = _golden_line(line, lo, hi, config.scan_points)
+                    # leave the line at its best point, or where it started
+                    value, t = (v_best, t_best) if v_best < value else (value, old)
+                    line(t)
             if before - value < _IMPROVE_TOL:
                 converged = True
                 break
         if not converged:
             meta["converged"] = False
         if value < best_val - 1e-15:
-            best_theta, best_val, best_idx = theta.copy(), value, s_idx
+            best_theta = [v for row in rows[:-1] for v in row]
+            best_val, best_idx = value, s_idx
 
     meta["best_start"] = best_idx
     best_theta, best_val = _direction_polish(
@@ -458,8 +483,8 @@ def _search_split(fam, x, config=None, assume_normal=False):
     parts = tuple(
         LossProfile(space, v, _validate=False) for v in rows_of(best_theta)
     )
-    total = math.fsum(rho(p) for rho, p in zip(members, parts))
-    return SplitSolution(parts, total, meta)
+    # best_val is the charge of these very rows, bit for bit
+    return SplitSolution(parts, best_val, meta)
 
 
 def ccp_margin(fam, admissible, x, config=None, assume_normal=False):

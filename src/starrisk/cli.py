@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -478,7 +479,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _parser():
+    """The argument parser, built on first use; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="starrisk",
         description="Evaluate, audit, aggregate, and optimize risk measures "

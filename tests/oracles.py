@@ -294,28 +294,43 @@ def oracle_envelope_value(x_values, residual_values, homogeneous, grid_step=1e-4
 
 def loop_envelope_evaluate(x_values, residual_values, homogeneous):
     """The envelope charge by scoring every candidate, O(n**3):
-    a = 0, a = 1 (segment only), then each crossing of the lines of
+    a = 0, a = 1 (segment only), then each finite crossing of the lines of
     states i < j in row-major order with r_i != r_j, a >= 0 and (segment
     only) a <= 1; each scored as ``np.max(x - a * r)``; the first minimum
-    returned."""
+    returned.  On a cone, a flat state's x also counts when its flat
+    piece starts at a crossing that overflows (some falling line crosses
+    it at a = inf) and no rising line cuts it off at a finite a: f is that
+    x from a point past the largest double on."""
     xv = np.asarray(x_values, dtype=float)
     r = np.asarray(residual_values, dtype=float)
+    # crossings on Python floats, which overflow to inf without a warning
+    xs, rs = xv.tolist(), r.tolist()
     n = xv.size
     candidates = [0.0]
     if not homogeneous:
         candidates.append(1.0)
     for i in range(n):
         for j in range(i + 1, n):
-            dr = r[i] - r[j]
+            dr = rs[i] - rs[j]
             if dr == 0.0:
                 continue
-            a = (xv[i] - xv[j]) / dr
-            if a < 0.0:
+            a = (xs[i] - xs[j]) / dr
+            if not math.isfinite(a) or a < 0.0:
                 continue
             if not homogeneous and a > 1.0:
                 continue
             candidates.append(a)
-    return min(float(np.max(xv - a * r)) for a in candidates)
+    values = [float(np.max(xv - a * r)) for a in candidates]
+    if homogeneous:
+        flat = [v for v, w in zip(xs, rs) if w == 0.0]
+        for j in range(n):
+            if rs[j] != 0.0 or xs[j] < max(flat):
+                continue  # not flat, or another flat line lies above it
+            start = [(xs[i] - xs[j]) / rs[i] for i in range(n) if rs[i] > 0.0]
+            end = [(xs[i] - xs[j]) / rs[i] for i in range(n) if rs[i] < 0.0]
+            if math.inf in start and min(end, default=math.inf) == math.inf:
+                values.append(xs[j])
+    return min(values)
 
 
 def exact_envelope_value(x_values, residual_values, homogeneous):

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from starrisk.axioms import SUPPORTED_PROPERTIES
-from starrisk.cli import CliInputError, _KINDS, _clean, main
+from starrisk.cli import CliInputError, _KINDS, _clean, _parser, main
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -606,6 +606,31 @@ class TestEntryPoints:
             main(["eval", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "kinds: " + ", ".join(_KINDS) in help_text
+
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # the parser is built on the first call and reused; failed and
+        # --help calls leave nothing behind that later calls would see
+        _parser.cache_clear()
+        eval_argv = data_argv("eval", "book.csv", "basic.json")
+        with pytest.raises(SystemExit) as exc:
+            main(eval_argv + ["--tol", "abc"])
+        assert exc.value.code == 2
+        assert main(eval_argv + ["--tol=-1"]) == 2
+        capsys.readouterr()
+        code, raw = run(tmp_path, "r", eval_argv)
+        assert code == 0
+        data_dir = json.dumps(str(DATA))[1:-1].encode()
+        golden = (DATA / "golden" / "eval_basic.json").read_bytes()
+        assert raw.replace(data_dir, b"<data>") == golden
+        helps = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["eval", "--help"])
+            assert exc.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+        assert "--spec" in helps[0]
+        assert _parser.cache_info().misses == 1
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as exc:

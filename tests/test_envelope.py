@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from starrisk.state_space import (
     DimensionError,
@@ -140,6 +140,13 @@ def envelope_cases(draw, max_n=80):
 # 1.02 * 2**-52 * max|x|, against the exact minimum 2.01 for either.
 ULP_SLACK = 4 * 2.0**-52
 
+# A cone member whose minimum sits at a = 2**1074: the crossing overflows
+# to inf and f is 0 from there on, on state 1's flat line.  The strategy
+# draws no subnormal residual, so it would not find this case itself.
+OVERFLOWED_FLAT_PIECE = (
+    EnvelopeMember(prof([5e-324, 0.0]), 0.0, homogeneous=True), prof([1.0, 0.0])
+)
+
 
 def within_ulps(got, want, x_values):
     return abs(got - want) <= ULP_SLACK * float(np.max(np.abs(x_values)))
@@ -147,6 +154,7 @@ def within_ulps(got, want, x_values):
 
 @settings(max_examples=200, deadline=None)
 @given(envelope_cases())
+@example(OVERFLOWED_FLAT_PIECE)
 def test_envelope_evaluate_matches_the_candidate_loop(case):
     member, x = case
     want = oracles.loop_envelope_evaluate(
@@ -180,6 +188,7 @@ def test_envelope_evaluate_is_exact_on_a_flat_piece():
 
 @settings(max_examples=300, deadline=None)
 @given(envelope_cases(max_n=12))
+@example(OVERFLOWED_FLAT_PIECE)
 def test_envelope_evaluate_and_the_loop_are_within_ulps_of_the_exact_value(case):
     member, x = case
     r = member.residual.values
@@ -234,14 +243,35 @@ def test_envelope_evaluate_skips_nan_candidates_like_the_loop():
 
 
 def test_envelope_evaluate_keeps_a_flat_piece_past_an_overflowed_crossing():
-    # the cone member's minimum sits at a = 2**1074, where the crossing
-    # overflows to inf; f is 0 from there on, state 1's flat line
-    member = EnvelopeMember(prof([5e-324, 0.0]), 0.0, homogeneous=True)
-    x = prof([1.0, 0.0])
+    member, x = OVERFLOWED_FLAT_PIECE
+    r = member.residual.values
     with np.errstate(all="raise"):
         got = envelope_evaluate(member, x)
     assert got == 0.0
-    assert oracles.exact_envelope_value(x.values, member.residual.values, True) == 0
+    assert oracles.exact_envelope_value(x.values, r, True) == 0
+    with np.errstate(all="ignore"):
+        assert oracles.loop_envelope_evaluate(x.values, r, True) == 0.0
+
+
+@pytest.mark.parametrize("x_values, residual, want", [
+    # two falling lines overflow against the flat one: f reaches 0 far out
+    ([1.0, 0.0, 2.0], [5e-324, 0.0, 5e-324], 0.0),
+    # a rising line cuts the flat piece off at a = 1, before the overflow
+    ([1.0, 0.0, -1.0], [5e-324, 0.0, -1.0], 1.0),
+    # two flat lines: only the upper one can be the envelope
+    ([1.0, 0.0, 0.5], [5e-324, 0.0, 0.0], 0.5),
+])
+def test_the_loop_and_the_hull_agree_past_an_overflowed_crossing(x_values, residual, want):
+    space = StateSpace.uniform(len(x_values))
+    # a generator whose own value is 0 makes the residual the generator
+    member = EnvelopeMember(LossProfile(space, residual), 0.0, homogeneous=True)
+    x = LossProfile(space, x_values)
+    with np.errstate(all="ignore"):
+        loop = oracles.loop_envelope_evaluate(x_values, residual, True)
+        got = envelope_evaluate(member, x)
+    assert got == loop == want
+    # with the rising line the exact minimum lies just below 1
+    assert float(oracles.exact_envelope_value(x_values, residual, True)) == want
 
 
 class TestEnvelopeFamily:
