@@ -11,6 +11,8 @@ pieces (tail-average case), so no level between grid points can hide an
 extremum.
 """
 
+from itertools import accumulate
+
 import numpy as np
 
 from .state_space import MASS_TOL, VALUE_MERGE_TOL, DomainError, distribution_of
@@ -189,25 +191,17 @@ def tail_event(x, alpha_prime):
         raise DomainError("tail level must lie in [0, 1]")
     target = 1.0 - a
     order = sorted(range(x.space.n), key=lambda i: (-x.values[i], i))
-    total = 0.0
-    chosen = []
-    for i in order:
+    probs = x.space.probs.tolist()
+    sums = [0.0] + list(accumulate(probs[i] for i in order))
+    for k, total in enumerate(sums):
         if abs(total - target) <= MASS_TOL:
-            break
-        if total > target + MASS_TOL:
-            break
-        chosen.append(i)
-        total += float(x.space.probs[i])
-    if abs(total - target) > MASS_TOL:
-        probs = [float(x.space.probs[i]) for i in order]
-        sums = np.concatenate([[0.0], np.cumsum(probs)])
-        below = sums[sums < target - MASS_TOL].max(initial=0.0)
-        above = sums[sums > target + MASS_TOL].min(initial=1.0)
-        raise PrecisionError(
-            "tail mass %.12g is not realizable; nearest levels are "
-            "alpha'=%.12g and alpha'=%.12g" % (target, 1.0 - below, 1.0 - above)
-        )
-    return tuple(sorted(chosen))
+            return tuple(sorted(order[:k]))
+    below = max(s for s in sums if s < target - MASS_TOL)
+    above = min([s for s in sums if s > target + MASS_TOL] + [1.0])
+    raise PrecisionError(
+        "tail mass %.12g is not realizable; nearest levels are "
+        "alpha'=%.12g and alpha'=%.12g" % (target, 1.0 - below, 1.0 - above)
+    )
 
 
 def es_minimality_witness(x, alpha, alpha_prime):

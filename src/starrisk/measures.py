@@ -31,7 +31,6 @@ from .state_space import (
     LossProfile,
     MASS_TOL,
     StateSpace,
-    _PAIR_BUILD_MAX,
     _bisect,
     _space_atoms,
     distribution_of,
@@ -53,6 +52,12 @@ KNOWN_CLAIMS = frozenset(
         "ssd_consistent",
     }
 )
+
+
+# Up to this many states a kernel on plain lists beats the numpy law,
+# whose per-call overhead dominates at small n; ``RiskEvaluator._score``
+# sends larger profiles to ``fn``.
+_PAIR_BUILD_MAX = 64
 
 
 class RiskEvaluator:
@@ -264,9 +269,12 @@ class Utility:
     ``knots`` is a strictly increasing list of (x, u(x)) pairs; the function
     extends linearly beyond the extreme knots.  A knot at x = 0 with value 0
     is required so that the shortfall measure is normalized.
+
+    Each segment is evaluated from its end nearer zero, so near zero
+    u(x) = slope * x keeps the low digits of x at any scale.
     """
 
-    __slots__ = ("xs", "ys", "slopes")
+    __slots__ = ("xs", "ys", "slopes", "_cuts", "_x0", "_y0")
 
     def __init__(self, knots):
         pts = [(float(x), float(y)) for x, y in knots]
@@ -282,16 +290,20 @@ class Utility:
         at_zero = np.where(np.isclose(xs, 0.0, atol=1e-15))[0]
         if at_zero.size != 1 or abs(ys[at_zero[0]]) > 1e-15:
             raise DomainError("utility requires a knot (0, 0)")
-        for a in (xs, ys, slopes):
+        # per segment, the anchor knot nearer zero; the outer segments extend
+        left = np.abs(xs[:-1]) <= np.abs(xs[1:])
+        x0 = np.where(left, xs[:-1], xs[1:])
+        y0 = np.where(left, ys[:-1], ys[1:])
+        cuts = xs[1:-1]
+        for a in (xs, ys, slopes, cuts, x0, y0):
             a.setflags(write=False)
         self.xs, self.ys, self.slopes = xs, ys, slopes
+        self._cuts, self._x0, self._y0 = cuts, x0, y0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        inner = np.interp(x, self.xs, self.ys)
-        below = self.ys[0] + self.slopes[0] * (x - self.xs[0])
-        above = self.ys[-1] + self.slopes[-1] * (x - self.xs[-1])
-        out = np.where(x < self.xs[0], below, np.where(x > self.xs[-1], above, inner))
+        i = np.searchsorted(self._cuts, x, side="right")
+        out = self._y0[i] + self.slopes[i] * (x - self._x0[i])
         return float(out) if out.ndim == 0 else out
 
 

@@ -142,42 +142,33 @@ def _require_same_space(x, y):
         raise DimensionError("profiles live on different state spaces")
 
 
-# Up to this many atoms sorting Python tuples is faster than numpy, whose
-# per-call overhead dominates at small n; above it the numpy build wins.
-# Law-invariant evaluators score profiles up to this size on plain lists.
-_PAIR_BUILD_MAX = 64
-
-
 class LossDistribution:
     """Sorted (value, probability) atoms of a loss; the law-invariant view.
 
     Values are strictly increasing (atoms closer than 1e-12 times the
     largest magnitude merge, probabilities aggregated); probabilities sum
-    to 1 within 1e-12, and ``cum`` holds their running total.
+    to 1 within 1e-12, and ``cum`` holds their running total.  Every law,
+    whether from ``atoms`` or from ``distribution_of``, is built by the
+    array merge ``_merge_arrays``.
     """
 
     __slots__ = ("values", "probs", "cum")
 
     def __init__(self, atoms):
-        self._set(*_plain_atoms((float(v), float(p)) for v, p in atoms))
+        table = np.array([(float(v), float(p)) for v, p in atoms]).reshape(-1, 2)
+        if not len(table):
+            raise DomainError("distribution needs at least one atom")
+        self._build(table[:, 0], table[:, 1])
 
-    @classmethod
-    def _from_arrays(cls, values, probs):
-        """Law of float arrays ``values`` and ``probs``, equal to
-        ``cls(zip(values, probs))`` bit for bit."""
-        d = cls.__new__(cls)
-        vals, probs = _merge_arrays(values, probs)
-        _check_mass(probs.tolist())
+    def _build(self, values, probs):
+        """Set this law from nonempty float arrays ``values`` and ``probs``."""
+        self.values, self.probs = _merge_arrays(values, probs)
+        _check_mass(self.probs.tolist())
         # np.cumsum adds in sequence, like itertools.accumulate
-        d._set(vals, probs, np.cumsum(probs))
-        return d
-
-    def _set(self, vals, probs, cum):
-        self.values = np.asarray(vals)
-        self.probs = np.asarray(probs)
-        self.cum = np.asarray(cum)
+        self.cum = np.cumsum(self.probs)
         for a in (self.values, self.probs, self.cum):
             a.setflags(write=False)
+        return self
 
     def __len__(self):
         return self.values.size
@@ -186,28 +177,17 @@ class LossDistribution:
         return "LossDistribution(%s)" % list(zip(self.values, self.probs))
 
 
-def _plain_atoms(pairs):
-    """Law of (value, prob) float pairs as plain lists (values, probs, cum).
-
-    The pairs are sorted and merged by ``_merge_sorted``; the
-    probabilities must be strictly positive and sum to 1 within
-    ``MASS_TOL``; ``cum`` is their running total.
-    """
-    pairs = sorted(pairs)
-    if any(p <= 0.0 for _, p in pairs):
-        raise DomainError("atom probabilities must be strictly positive")
-    vals, probs = _merge_sorted(pairs)
-    _check_mass(probs)
-    return vals, probs, list(accumulate(probs))
-
-
 def _space_atoms(values, space):
-    """``_plain_atoms`` of a float list of losses on ``space``'s weights.
+    """Law of a float list of losses on ``space``'s weights as plain lists
+    (values, probs, cum), the input of the law-invariant evaluators'
+    kernels; equal bit for bit to ``distribution_of``'s arrays.
 
-    The weights are positive by construction.  Unless atoms merged, the
-    probabilities are a permutation of the weights, whose ``math.fsum``
-    is exactly rounded and so the same: the space's cached mass verdict
-    stands for them, and the check only runs (to raise) when it failed.
+    The pairs are sorted and merged by ``_merge_sorted``; ``cum`` is the
+    running total of the probabilities.  The weights are positive by
+    construction.  Unless atoms merged, the probabilities are a
+    permutation of the weights, whose ``math.fsum`` is exactly rounded and
+    so the same: the space's cached mass verdict stands for them, and the
+    check only runs (to raise) when it failed.
     """
     weights, mass_ok = space._plain_probs()
     vals, probs = _merge_sorted(sorted(zip(values, weights)))
@@ -217,11 +197,9 @@ def _space_atoms(values, space):
 
 
 def _merge_sorted(pairs):
-    """Merge sorted (value, prob) pairs into (values, probs) lists: a value
-    within the merge tolerance of the first value kept in its group adds
-    its probability to that group, in order."""
-    if not pairs:
-        raise DomainError("distribution needs at least one atom")
+    """Merge nonempty sorted (value, prob) pairs into (values, probs)
+    lists: a value within the merge tolerance of the first value kept in
+    its group adds its probability to that group, in order."""
     # sorted, so the largest magnitude is -min or max
     merge_tol = VALUE_MERGE_TOL * max(-pairs[0][0], pairs[-1][0])
     vals, probs = [], []
@@ -287,11 +265,7 @@ def pointwise_leq(x, y):
 
 def distribution_of(x):
     """Law of a ``LossProfile`` under its space's weights."""
-    if x.space.n <= _PAIR_BUILD_MAX:
-        d = LossDistribution.__new__(LossDistribution)
-        d._set(*_space_atoms(x.values.tolist(), x.space))
-        return d
-    return LossDistribution._from_arrays(x.values, x.space.probs)
+    return LossDistribution.__new__(LossDistribution)._build(x.values, x.space.probs)
 
 
 def _bisect(pred, lo, hi, tol):

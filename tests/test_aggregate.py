@@ -116,6 +116,16 @@ class TestChoquet:
         fam = fam_of([7.5])
         assert choquet_aggregate(fam, order_statistic_capacity(1, 1), X0) == 7.5
 
+    @pytest.mark.parametrize("weights, message", [
+        ([], "nonempty vector"),
+        ([[0.5, 0.5]], "nonempty vector"),
+        ([1.5, -0.5], "nonnegative"),
+        ([0.5, 0.25], "sum to 1"),
+    ])
+    def test_additive_capacity_refusals(self, weights, message):
+        with pytest.raises(DomainError, match=message):
+            additive_capacity(weights)
+
     def test_rank_out_of_range(self):
         with pytest.raises(DomainError):
             order_statistic_capacity(3, 0)

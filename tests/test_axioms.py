@@ -28,6 +28,7 @@ from starrisk.axioms import (
     check_axiom,
     coherent_collapse_check,
     default_probe_set,
+    SearchError,
     measure_from_acceptance,
     risk_to_exposure,
     star_acceptance_check,
@@ -221,6 +222,14 @@ def test_acceptance_bisection_scales_down(scale):
     x = profile([scale * v for v in (-1.0, 2.0, 4.0)])
     m = measure_from_acceptance(lambda z: es_measure(0.5)(z) <= 0.0, x)
     assert math.isclose(m, es(distribution_of(x), 0.5), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("accepted, end", [(False, "upper"), (True, "lower")])
+def test_acceptance_bracket_that_never_decides(accepted, end):
+    # membership that never changes with the cash amount has no root
+    x = profile([1.0, 2.0, 4.0])
+    with pytest.raises(SearchError, match="%s bracket" % end):
+        measure_from_acceptance(lambda z: accepted, x)
 
 
 @pytest.mark.parametrize("c", [1e16, 1e17])

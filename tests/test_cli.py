@@ -410,6 +410,57 @@ class TestInputErrors:
             "'measures' list",
         )
 
+    @pytest.mark.parametrize("measures, fragment", [
+        ([], "spec lists no measures"),
+        ([["v", "var", 0.5]], "each measure entry must be an object"),
+    ], ids=["empty-list", "entry-not-object"])
+    def test_malformed_measures_list(self, measures, fragment, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": measures}))
+        expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            fragment,
+        )
+
+    def test_spec_unreadable(self, tmp_path, capsys):
+        expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"),
+             "--spec", str(tmp_path / "missing.json")],
+            "cannot read",
+        )
+
+    def test_properties_not_a_list(self, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({
+            "measures": [{"name": "v", "kind": "var", "beta": 0.5}],
+            "properties": "star_shaped",
+        }))
+        expect_input_error(
+            capsys,
+            ["axioms", "--spec", str(bad), "--seed", "1"],
+            "'properties' must be a list of property names",
+        )
+
+    @pytest.mark.parametrize("admissible", [3, [[]], [0, 1]],
+                             ids=["number", "empty-subset", "flat-list"])
+    def test_malformed_admissible(self, admissible, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({
+            "measures": [
+                {"name": "e", "kind": "es", "beta": 0.5},
+                {"name": "w", "kind": "worst_case"},
+            ],
+            "admissible": admissible,
+        }))
+        expect_input_error(
+            capsys,
+            ["margin", "--input", str(DATA / "book.csv"), "--spec", str(bad),
+             "--seed", "1"],
+            "'admissible' must be a list of nonempty index lists",
+        )
+
     def test_duplicate_measure_names(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
         bad.write_text(json.dumps({"measures": [

@@ -383,6 +383,12 @@ class TestRelaxationMember:
         rho = es_measure(0.5)
         assert relaxation_member(rho, rho, PROBES)
 
+    def test_non_convex_measure_is_refused(self):
+        # VaR dominates itself, but the relaxed class holds convex measures
+        rho = var_measure(0.5)
+        assert check_axiom(rho, "convex", PROBES).verdict == "violated"
+        assert not relaxation_member(rho, rho, PROBES)
+
 
 class TestAggregateRepresentation:
     def small_probes(self, seed, count=8, n=3):
@@ -417,6 +423,19 @@ class TestAggregateRepresentation:
         assert not raw1 & raw2
         report = aggregate_representation_check(fams, "sup", self.small_probes(3))
         assert report.verdict == "holds_on_sample"
+
+    def test_sup_refutes_a_measure_that_is_not_star_shaped(self):
+        # max(x) on positions of positive mean, else min(x): members of the
+        # relaxed class generated elsewhere undershoot it
+        flip = RiskEvaluator(
+            "flip",
+            lambda x: float(x.values.max() if x.values.mean() > 0 else x.values.min()),
+        )
+        report = aggregate_representation_check(
+            [(flip, [])], "sup", self.small_probes(3)
+        )
+        assert report.verdict == "violated"
+        assert report.witness["got"] < report.witness["target"] - 1e-9
 
     def test_infconv_pair_desk_scale(self):
         fams = self.families([es_measure(0.5), worst_case_measure()], size=2)

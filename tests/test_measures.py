@@ -269,14 +269,16 @@ class TestShortfall:
         root = oracles.oracle_shortfall(values, [1 / 3] * 3, knots)
         assert math.isclose(root, 2.6e-12, rel_tol=1e-12)
 
-    def test_bisection_width_follows_scale(self):
-        # an absolute width of 1e-10 returned 1.5e-12 here; the rest of
-        # the gap to the root (2.5e-5 relative) is Utility's interpolation
-        values = [1e-12 * v for v in (-1.0, 2.0, 4.0)]
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1.0, 1e6])
+    def test_bisection_width_follows_scale(self, scale):
+        # the bisection stops at width 1e-10 * min(1, scale), 1.2e-11
+        # relative at unit scale; the utility must keep the low digits of
+        # small arguments for that width to show
+        values = [scale * v for v in (-1.0, 2.0, 4.0)]
         knots = [(-1.0, -3.0), (0.0, 0.0), (1.0, 1.0)]
         x = LossProfile(StateSpace.uniform(3), values)
-        want = oracles.oracle_shortfall(values, [1 / 3] * 3, knots)
-        assert math.isclose(shortfall_measure(Utility(knots))(x), want, rel_tol=1e-4)
+        want = oracles.oracle_shortfall(values, [1 / 3] * 3, knots, tol=0.0)
+        assert math.isclose(shortfall_measure(Utility(knots))(x), want, rel_tol=1e-10)
 
 
 class TestUtilityStarCompatibility:

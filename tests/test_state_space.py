@@ -1,13 +1,15 @@
 """State spaces, profiles, distributions, capacities."""
 
 import math
+from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starrisk.measures import _PAIR_BUILD_MAX
 from starrisk.state_space import (
-    _PAIR_BUILD_MAX,
     Capacity,
     DimensionError,
     DomainError,
@@ -16,6 +18,8 @@ from starrisk.state_space import (
     StateSpace,
     distribution_of,
     _merge_arrays,
+    _merge_sorted,
+    _space_atoms,
     pointwise_leq,
     quantile_breakpoints,
 )
@@ -91,6 +95,17 @@ def test_quantile_breakpoints():
     assert np.allclose(quantile_breakpoints(d2), [0.1])
 
 
+def test_distribution_refuses_bad_atoms():
+    with pytest.raises(DomainError, match="at least one atom"):
+        LossDistribution([])
+    with pytest.raises(DomainError, match="strictly positive"):
+        LossDistribution([(1.0, 1.0), (2.0, 0.0)])
+    with pytest.raises(DomainError, match="strictly positive"):
+        LossDistribution([(1.0, 1.5), (2.0, -0.5)])
+    with pytest.raises(DomainError, match="not 1"):
+        LossDistribution([(1.0, 0.5), (2.0, 0.25)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-50, 50), min_size=1, max_size=6),
@@ -113,7 +128,7 @@ def atom_arrays(draw):
     """Values and probabilities with exact ties, signed zeros, and chains
     of near-merge steps (0.9e-12 apart, up to 4.5e-12 long) that span
     more than the merge tolerance, at magnitudes 1e-12 to 1e12 and sizes
-    on both sides of the array-build cutoff."""
+    on both sides of the evaluators' kernel cutoff."""
     n = draw(st.integers(1, 2 * _PAIR_BUILD_MAX + 8))
     ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
     steps = st.lists(st.integers(0, 5), min_size=n, max_size=n)
@@ -129,15 +144,20 @@ def same_bits(a, b):
     return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
 
 
+# The pair merge on plain lists, the reference of the array build
+PairLaw = namedtuple("PairLaw", "values probs cum")
+
+
 @settings(max_examples=200, deadline=None)
 @given(atom_arrays())
 def test_array_build_matches_pair_build(arrays):
     values, probs = arrays
-    ref = LossDistribution(zip(values.tolist(), probs.tolist()))
-    d = LossDistribution._from_arrays(values, probs)
+    merged = _merge_sorted(sorted(zip(values.tolist(), probs.tolist())))
+    ref = PairLaw(*merged, list(accumulate(merged[1])))
+    d = LossDistribution(zip(values.tolist(), probs.tolist()))
     for name in ("values", "probs", "cum"):
         assert same_bits(getattr(d, name), getattr(ref, name)), name
-    # the array merge itself, also below the cutoff where it is not used
+    # the array merge itself
     merged_values, merged_probs = _merge_arrays(values, probs)
     assert same_bits(merged_values, ref.values)
     assert same_bits(merged_probs, ref.probs)
@@ -146,12 +166,12 @@ def test_array_build_matches_pair_build(arrays):
 @settings(max_examples=200, deadline=None)
 @given(atom_arrays())
 def test_law_of_a_profile_matches_pair_build(arrays):
-    # distribution_of reuses its space's weight list and mass verdict
+    # the kernels' atoms reuse their space's weight list and mass verdict
     values, probs = arrays
     x = LossProfile(StateSpace(probs), values)
-    ref = LossDistribution(zip(values.tolist(), probs.tolist()))
+    d = distribution_of(x)
     for _ in range(2):
-        d = distribution_of(x)
+        ref = PairLaw(*_space_atoms(values.tolist(), x.space))
         for name in ("values", "probs", "cum"):
             assert same_bits(getattr(d, name), getattr(ref, name)), name
 
