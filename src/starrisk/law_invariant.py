@@ -11,12 +11,13 @@ pieces (tail-average case), so no level between grid points can hide an
 extremum.
 """
 
+import operator
 from itertools import accumulate
 
 import numpy as np
 
 from .state_space import MASS_TOL, VALUE_MERGE_TOL, DomainError, distribution_of
-from .measures import _es_levels, es, mean, var, worst_case
+from .measures import _es_levels, _es_table, es, mean, var, worst_case
 
 __all__ = [
     "PrecisionError",
@@ -35,10 +36,20 @@ class PrecisionError(DomainError):
 
 
 def _merged_interior(x, y):
-    """Union of interior quantile breakpoints of two distributions."""
-    pts = np.concatenate([x.cum[:-1], y.cum[:-1]])
-    pts = pts[(pts > 0.0) & (pts < 1.0)]
-    return np.unique(pts)
+    """Union of interior quantile breakpoints of two distributions, sorted,
+    each once; running masses are positive, so only those below 1 are
+    kept."""
+    pts = np.sort(np.concatenate((x.cum[:-1], y.cum[:-1])))
+    keep = pts < 1.0
+    keep[1:] &= pts[1:] != pts[:-1]
+    return pts[keep]
+
+
+def _quantiles(d, points):
+    """``var`` of ``d`` at each level of a float array in (0, 1], by one
+    ``searchsorted``: the atom index ``bisect_left`` finds for each."""
+    cells = d.cum.searchsorted(points - MASS_TOL)
+    return d.values[np.minimum(cells, d.values.size - 1)]
 
 
 def _slack(x, y):
@@ -112,7 +123,7 @@ def fsd_dominates(x, y):
     """
     points = np.append(_merged_interior(x, y), 1.0)
     slack = _slack(x, y)
-    return all(var(x, float(p)) <= var(y, float(p)) + slack for p in points)
+    return bool(np.all(_quantiles(x, points) <= _quantiles(y, points) + slack))
 
 
 def ssd_dominates(x, y):
@@ -125,13 +136,13 @@ def ssd_dominates(x, y):
     """
 
     levels = _merged_interior(x, y)
-
-    def g(d):
-        tail = [(1.0 - b) * e for b, e in zip(levels.tolist(), _es_levels(d, levels))]
-        return [mean(d)] + tail + [0.0]
-
+    tails_x, tails_y = _es_table((x, y), levels)
     slack = _slack(x, y)
-    return all(a <= b + slack for a, b in zip(g(x), g(y)))
+    # G(0) is the mean; G(1) = 0 for both laws passes with any slack >= 0
+    return mean(x) <= mean(y) + slack and all(
+        (1.0 - b) * a <= (1.0 - b) * c + slack
+        for b, a, c in zip(levels.tolist(), tails_x, tails_y)
+    )
 
 
 def var_envelope_eval(gens, x):
@@ -144,7 +155,7 @@ def var_envelope_eval(gens, x):
 
     def gap(y):
         points = np.append(_merged_interior(x, y), 1.0)
-        return max(var(x, float(p)) - var(y, float(p)) for p in points)
+        return max((_quantiles(x, points) - _quantiles(y, points)).tolist())
 
     return _envelope_min(gens, "var", "quantile", gap)
 
@@ -159,11 +170,11 @@ def es_envelope_eval(gens, x):
     gap at 0+ and the max-loss gap at 1-.
     """
 
+    x_mean, x_worst = mean(x), worst_case(x)
+
     def gap(y):
-        levels = _merged_interior(x, y)
-        tails = zip(_es_levels(x, levels), _es_levels(y, levels))
-        candidates = [mean(x) - mean(y), worst_case(x) - worst_case(y)]
-        return max(candidates + [a - b for a, b in tails])
+        tails = _es_table((x, y), _merged_interior(x, y))
+        return max(x_mean - mean(y), x_worst - worst_case(y), *map(operator.sub, *tails))
 
     return _envelope_min(gens, "es", "tail-average", gap)
 

@@ -23,6 +23,7 @@ module is the sole verifier.
 import math
 import operator
 from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -154,9 +155,14 @@ def es(d, beta):
 
     Exact breakpoint integration: var as a function of the level equals
     ``values[i]`` on the cell ``(cum[i-1], cum[i]]``, so the integral is a
-    finite sum of cell overlaps with ``(beta, 1)``.
+    finite sum of cell overlaps with ``(beta, 1)``, added by one
+    ``math.fsum``.
     """
-    return _es_levels(d, np.array([beta]))[0]
+    levels = np.array([beta])
+    (b,) = levels.tolist()
+    _check_es_level(b)
+    full, (above,), (partial,) = _es_cells((d,), levels)
+    return math.fsum(full[above:].tolist() + [partial]) / (1.0 - b)
 
 
 def _es_atoms(values, probs, cum, beta):
@@ -175,26 +181,86 @@ def _check_es_level(beta):
         raise DomainError("es level must lie in (0, 1), got %r" % beta)
 
 
-def _es_levels(d, levels):
-    """ES of ``d`` at each level of a float array, in O(n) per level;
-    ``es`` is its one-level case.
+def _es_cells(laws, levels):
+    """The terms of ES at each level of a float array, for laws stacked one
+    after another: every cell's ``value * width``; per law, then per
+    level, the stacked index of the first cell wholly above the level;
+    and the product of the cell below that one, which holds the level,
+    with its overlap of the level's tail."""
+    values = np.concatenate([d.values for d in laws])
+    lows = np.concatenate([a for d in laws for a in (_ZERO, d.cum[:-1])])
+    highs = np.minimum(np.concatenate([d.cum for d in laws]), 1.0)
+    full = values * np.maximum(highs - lows, 0.0)
+    above, start = [], 0
+    for d in laws:
+        stop = start + d.values.size
+        above.append(lows[start:stop].searchsorted(levels) + start)
+        start = stop
+    above = np.concatenate(above)
+    cell = above - 1
+    partial = values[cell] * np.maximum(
+        (highs[cell].reshape(len(laws), -1) - levels).ravel(), 0.0)
+    return full, above, partial
 
-    Cells wholly above a level contribute ``value * cell width``; these
-    products are formed once.  The cell holding the level adds its partial
-    overlap; cells below it add zero.  ``math.fsum`` is exactly rounded, so
-    leaving out zero terms and reordering the rest changes nothing.
-    """
-    lows = np.concatenate(([0.0], d.cum[:-1]))
-    highs = np.minimum(d.cum, 1.0)
-    full = (d.values * np.clip(highs - lows, 0.0, None)).tolist()
-    # the cell holding b is the last one starting below it
-    cells = np.searchsorted(lows, levels, side="left") - 1
-    out = []
-    for b, k, v, high in zip(levels.tolist(), cells.tolist(),
-                             d.values[cells].tolist(), highs[cells].tolist()):
+
+_ZERO = np.zeros(1)
+
+
+def _es_levels(d, levels):
+    """ES of ``d`` at each level of a float array; see ``_es_table``."""
+    for b in levels.tolist():
         _check_es_level(b)
-        out.append(math.fsum(full[k + 1:] + [v * max(high - b, 0.0)]) / (1.0 - b))
-    return out
+    return _es_table((d,), levels)[0]
+
+
+def _es_table(laws, levels):
+    """ES of each law at each level of a float array in (0, 1), one list
+    per law, in O(n) for all levels; ``es`` is the one-level case, by one
+    ``math.fsum``.
+
+    Each total is that of ``es``, the ``math.fsum`` of the products of the
+    cells above the level and its partial product, bit for bit.  Every
+    term is a double, so an integer multiple of 2**lo, where lo is the
+    place of the lowest bit among them; the suffix totals of the cell
+    products are kept as exact Python ints, and each level's total, like
+    ``math.fsum``'s, is its exact sum rounded once.  An exact zero total
+    takes its sign from ``math.fsum`` itself; terms that are not finite,
+    or so large or so far apart in scale that a sum could overflow, are
+    all added by ``math.fsum``.
+    """
+    full, above, partial = _es_cells(laws, levels)
+    terms = np.concatenate((full, partial))
+    exps = np.frexp(terms)[1]
+    lo = int(np.minimum.reduce(exps)) - 53
+    hi = int(np.maximum.reduce(exps))
+    count, size = levels.size, full.size
+    # the stacked end of the law of each (law, level) entry
+    ends, stop = [], 0
+    for d in laws:
+        stop += d.values.size
+        ends += [stop] * count
+    # suffix[j]: exact total of the stacked cells from j up; all zero, so
+    # that every total goes to math.fsum, unless the terms convert
+    suffix, parts = [0] * (size + 1), [0] * len(ends)
+    # every total stays below 2**(hi + spread), as a multiple of 2**lo
+    # below 2**(hi - lo + spread)
+    spread = terms.size.bit_length()
+    if hi + spread <= 1022 and hi - lo + spread <= 1023:
+        try:
+            ints = list(map(int, np.ldexp(terms, -lo).tolist()))
+        except (OverflowError, ValueError):  # an infinite or NaN term
+            pass
+        else:
+            suffix = list(accumulate(reversed(ints[:size]), initial=0))[::-1]
+            parts = ints[size:]
+    above = above.tolist()
+    totals = [suffix[j] - suffix[e] + p for j, e, p in zip(above, ends, parts)]
+    out = [
+        (math.ldexp(t, lo) if t else math.fsum(full[j:e].tolist() + [p])) / (1.0 - b)
+        for t, j, e, p, b in zip(totals, above, ends, partial.tolist(),
+                                 levels.tolist() * len(laws))
+    ]
+    return [out[i * count:(i + 1) * count] for i in range(len(laws))]
 
 
 def mean(d):
@@ -230,7 +296,11 @@ def med_var(ds, beta):
     """
     if not ds:
         raise DomainError("med_var needs at least one distribution")
-    vals = sorted(var(d, beta) for d in ds)
+    return _lower_median([var(d, beta) for d in ds])
+
+
+def _lower_median(vals):
+    vals = sorted(vals)
     return vals[(len(vals) - 1) // 2]
 
 
@@ -461,9 +531,10 @@ def lvar_measure(bench):
     return _law_measure("lvar", claims, lvar, _lvar_atoms, bench)
 
 
-def _scenario_var_measure(label, robust, weight_rows, beta):
-    """Evaluator of ``robust(laws, beta)`` over the laws of x under each
-    weight row, pinned to the rows' common length."""
+def _scenario_var_measure(label, pick, weight_rows, beta):
+    """Evaluator of ``pick`` over the VaRs of x under each weight row,
+    pinned to the rows' common length; up to 64 states each VaR is taken
+    on the row's plain atoms, bit for bit the VaR of its law."""
     spaces = [StateSpace(w) for w in weight_rows]
     n = spaces[0].n
     if any(s.n != n for s in spaces):
@@ -474,10 +545,14 @@ def _scenario_var_measure(label, robust, weight_rows, beta):
             raise DomainError(
                 "profile has %d states, scenarios expect %d" % (x.space.n, n)
             )
+        if n <= _PAIR_BUILD_MAX:
+            values = x.values.tolist()
+            laws = [_space_atoms(values, s) for s in spaces]
+            return pick([_var_atoms(*law, beta) for law in laws])
         laws = [
             distribution_of(LossProfile(s, x.values, _validate=False)) for s in spaces
         ]
-        return robust(laws, beta)
+        return pick([var(d, beta) for d in laws])
 
     claims = _MONETARY + ("positively_homogeneous", "star_shaped")
     return RiskEvaluator("%s[%g]" % (label, beta), fn, claims, required_n=n)
@@ -485,9 +560,9 @@ def _scenario_var_measure(label, robust, weight_rows, beta):
 
 def max_var_measure(weight_rows, beta):
     """Robust VaR: worst var over the laws of x under alternative weights."""
-    return _scenario_var_measure("maxvar", max_var, weight_rows, beta)
+    return _scenario_var_measure("maxvar", max, weight_rows, beta)
 
 
 def med_var_measure(weight_rows, beta):
     """Lower-median VaR over the laws of x under alternative weights."""
-    return _scenario_var_measure("medvar", med_var, weight_rows, beta)
+    return _scenario_var_measure("medvar", _lower_median, weight_rows, beta)

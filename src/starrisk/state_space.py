@@ -42,7 +42,7 @@ class StateSpace:
         within 1e-12.
     """
 
-    __slots__ = ("probs", "n", "_plain")
+    __slots__ = ("probs", "n", "_plain", "_mass", "_order")
 
     def __init__(self, probs):
         p = np.asarray(probs, dtype=float)
@@ -59,16 +59,33 @@ class StateSpace:
         p.setflags(write=False)
         self.probs = p
         self.n = int(p.size)
-        self._plain = None
+        self._plain = self._mass = self._order = None
+
+    # Caches for building laws on this space, each made on first use, so a
+    # space pays only for what its laws need.
 
     def _plain_probs(self):
-        """The weights as a float list, and whether they pass the
-        ``math.fsum`` mass check of plain-list laws.  Made on first use, so
-        a space whose laws are only built through arrays never pays."""
+        """The weights as a float list, the kernels' input, and the mass
+        verdict of ``_mass_ok``."""
         if self._plain is None:
-            probs = self.probs.tolist()
-            self._plain = probs, abs(math.fsum(probs) - 1.0) <= MASS_TOL
+            self._plain = self.probs.tolist(), self._mass_ok()
         return self._plain
+
+    def _mass_ok(self):
+        """Whether the weights pass the ``math.fsum`` mass check of a law.
+        ``math.fsum`` is exactly rounded, so every permutation of the
+        weights gets this verdict: it stands for any law on this space
+        whose atoms did not merge."""
+        if self._mass is None:
+            self._mass = abs(math.fsum(self.probs.tolist()) - 1.0) <= MASS_TOL
+        return self._mass
+
+    def _weight_order(self):
+        """Stable argsort of the weights, which orders tied losses."""
+        if self._order is None:
+            self._order = np.argsort(self.probs, kind="stable")
+            self._order.setflags(write=False)
+        return self._order
 
     @classmethod
     def uniform(cls, n):
@@ -160,10 +177,13 @@ class LossDistribution:
             raise DomainError("distribution needs at least one atom")
         self._build(table[:, 0], table[:, 1])
 
-    def _build(self, values, probs):
-        """Set this law from nonempty float arrays ``values`` and ``probs``."""
-        self.values, self.probs = _merge_arrays(values, probs)
-        _check_mass(self.probs.tolist())
+    def _build(self, values, probs, space=None):
+        """Set this law from nonempty float arrays ``values`` and ``probs``;
+        ``space``, when ``probs`` are its weights, lends its cached weight
+        order and mass verdict."""
+        self.values, self.probs = _merge_arrays(values, probs, space)
+        if space is None or self.probs.size < space.n or not space._mass_ok():
+            _check_mass(self.probs.tolist())
         # np.cumsum adds in sequence, like itertools.accumulate
         self.cum = np.cumsum(self.probs)
         for a in (self.values, self.probs, self.cum):
@@ -218,12 +238,15 @@ def _check_mass(probs):
         raise DomainError("atom probabilities sum to %.17g, not 1" % total)
 
 
-def _merge_arrays(values, probs):
+def _merge_arrays(values, probs, space=None):
     """The merge of ``_merge_sorted`` on nonempty float arrays, vectorised;
-    returns (values, probs) arrays.
+    returns (values, probs) arrays.  ``space``, when ``probs`` are its
+    weights (positive by construction), lends its cached weight order.
 
-    Exactly equal values are ordered by probability, as tuples sort, so
-    their sums add in the same order.  A group cut where consecutive
+    Exactly equal values are ordered by probability, then by position, as
+    tuples sort, so their sums add in the same order: a stable sort of the
+    values taken in stable weight order, the permutation
+    ``np.lexsort((probs, values))`` gives.  A group cut where consecutive
     values differ by more than the tolerance is also cut by the
     first-value rule; groups spanning more than the tolerance are then
     re-cut by that rule.  ``np.bincount`` adds each group's weights in
@@ -233,11 +256,13 @@ def _merge_arrays(values, probs):
     v = values[order]
     gaps = np.diff(v)
     if not gaps.all():
-        order = np.lexsort((probs, values))
+        by_p = (np.argsort(probs, kind="stable") if space is None
+                else space._weight_order())
+        order = by_p[np.argsort(values[by_p], kind="stable")]
         v = values[order]
         gaps = np.diff(v)
     p = probs[order]
-    if (p <= 0.0).any():
+    if space is None and (p <= 0.0).any():
         raise DomainError("atom probabilities must be strictly positive")
     merge_tol = VALUE_MERGE_TOL * max(-float(v[0]), float(v[-1]))
     cut = gaps > merge_tol
@@ -264,8 +289,11 @@ def pointwise_leq(x, y):
 
 
 def distribution_of(x):
-    """Law of a ``LossProfile`` under its space's weights."""
-    return LossDistribution.__new__(LossDistribution)._build(x.values, x.space.probs)
+    """Law of a ``LossProfile`` under its space's weights, built by
+    ``_merge_arrays`` on the space's cached weight order; unless atoms
+    merged, the space's cached mass verdict stands for the law's."""
+    law = LossDistribution.__new__(LossDistribution)
+    return law._build(x.values, x.space.probs, x.space)
 
 
 def _bisect(pred, lo, hi, tol):

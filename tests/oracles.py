@@ -78,6 +78,21 @@ def array_lvar(values, cum, times, levels):
     return max(array_var(values, cum, a) - t for t, a in zip(times, levels))
 
 
+def fsum_es_levels(values, cum, levels):
+    """ES at each level of a list in (0, 1), one ``math.fsum`` per level
+    over the products of the cells wholly above it and the partial product
+    of the cell holding it: O(n) per level."""
+    lows = np.concatenate(([0.0], cum[:-1]))
+    highs = np.minimum(cum, 1.0)
+    full = (values * np.clip(highs - lows, 0.0, None)).tolist()
+    out = []
+    for b in levels:
+        k = int(np.searchsorted(lows, b, side="left")) - 1
+        partial = float(values[k]) * max(float(highs[k]) - b, 0.0)
+        out.append(math.fsum(full[k + 1:] + [partial]) / (1.0 - b))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Utility-based shortfall
 # ---------------------------------------------------------------------------
