@@ -215,18 +215,20 @@ def _es_levels(d, levels):
 
 def _es_table(laws, levels):
     """ES of each law at each level of a float array in (0, 1), one list
-    per law, in O(n) for all levels; ``es`` is the one-level case, by one
-    ``math.fsum``.
+    per law; ``es`` is the one-level case, by one ``math.fsum``.
 
     Each total is that of ``es``, the ``math.fsum`` of the products of the
     cells above the level and its partial product, bit for bit.  Every
     term is a double, so an integer multiple of 2**lo, where lo is the
     place of the lowest bit among them; the suffix totals of the cell
     products are kept as exact Python ints, and each level's total, like
-    ``math.fsum``'s, is its exact sum rounded once.  An exact zero total
-    takes its sign from ``math.fsum`` itself; terms that are not finite,
-    or so large or so far apart in scale that a sum could overflow, are
-    all added by ``math.fsum``.
+    ``math.fsum``'s, is its exact sum rounded once.  That costs O(n) for
+    all levels, except for levels handed to ``math.fsum`` over their own
+    tail, O(n) each: a level whose exact total is zero (``math.fsum``
+    gives its sign), and every level when some term is not finite, or
+    when the terms' ``np.frexp`` exponents (0 for a zero term) span more
+    than 970 - b or exceed 1022 - b, b the bit length of the number of
+    terms, where the scaled terms or a sum could overflow a float.
     """
     full, above, partial = _es_cells(laws, levels)
     terms = np.concatenate((full, partial))
@@ -533,8 +535,8 @@ def lvar_measure(bench):
 
 def _scenario_var_measure(label, pick, weight_rows, beta):
     """Evaluator of ``pick`` over the VaRs of x under each weight row,
-    pinned to the rows' common length; up to 64 states each VaR is taken
-    on the row's plain atoms, bit for bit the VaR of its law."""
+    pinned to the rows' common length; each VaR is taken on the row's
+    plain atoms, bit for bit the VaR of its law."""
     spaces = [StateSpace(w) for w in weight_rows]
     n = spaces[0].n
     if any(s.n != n for s in spaces):
@@ -545,14 +547,8 @@ def _scenario_var_measure(label, pick, weight_rows, beta):
             raise DomainError(
                 "profile has %d states, scenarios expect %d" % (x.space.n, n)
             )
-        if n <= _PAIR_BUILD_MAX:
-            values = x.values.tolist()
-            laws = [_space_atoms(values, s) for s in spaces]
-            return pick([_var_atoms(*law, beta) for law in laws])
-        laws = [
-            distribution_of(LossProfile(s, x.values, _validate=False)) for s in spaces
-        ]
-        return pick([var(d, beta) for d in laws])
+        values = x.values.tolist()
+        return pick([_var_atoms(*_space_atoms(values, s), beta) for s in spaces])
 
     claims = _MONETARY + ("positively_homogeneous", "star_shaped")
     return RiskEvaluator("%s[%g]" % (label, beta), fn, claims, required_n=n)

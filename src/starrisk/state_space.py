@@ -241,7 +241,7 @@ def _check_mass(probs):
 def _merge_arrays(values, probs, space=None):
     """The merge of ``_merge_sorted`` on nonempty float arrays, vectorised;
     returns (values, probs) arrays.  ``space``, when ``probs`` are its
-    weights (positive by construction), lends its cached weight order.
+    weights, lends its cached weight order.
 
     Exactly equal values are ordered by probability, then by position, as
     tuples sort, so their sums add in the same order: a stable sort of the
@@ -262,7 +262,7 @@ def _merge_arrays(values, probs, space=None):
         v = values[order]
         gaps = np.diff(v)
     p = probs[order]
-    if space is None and (p <= 0.0).any():
+    if (p <= 0.0).any():
         raise DomainError("atom probabilities must be strictly positive")
     merge_tol = VALUE_MERGE_TOL * max(-float(v[0]), float(v[-1]))
     cut = gaps > merge_tol

@@ -241,7 +241,7 @@ def test_order_tests_match_oracles_at_1024_states():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    profiles(max_n=64),
+    profiles(),
     st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
     st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.5, 1.0, 0.0, -0.5])),
 )
