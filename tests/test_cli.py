@@ -311,6 +311,21 @@ class TestInputErrors:
             "sum to 1.2",
         )
 
+    def test_probability_mass_by_fsum(self, tmp_path, capsys):
+        # weights whose fsum is 1 + 1.0e-12: refused by the space, before
+        # any law is built on them
+        bad = tmp_path / "bad.csv"
+        weights = [float.fromhex(h) for h in (
+            "0x1.a9028bb0f5b6ap-2", "0x1.6ceb6e469db63p-2", "0x1.d4240c10e1f23p-3")]
+        bad.write_text("state,prob,book\n" + "".join(
+            "s%d,%r,%d\n" % (i, w, i) for i, w in enumerate(weights)))
+        err = expect_input_error(
+            capsys,
+            ["eval", "--input", str(bad), "--spec", str(DATA / "basic.json")],
+            "probabilities sum to 1.0000000000010001, not 1 within",
+        )
+        assert "atom probabilities" not in err
+
     def test_empty_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("")

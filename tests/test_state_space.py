@@ -3,12 +3,13 @@
 import math
 from collections import namedtuple
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starrisk.measures import _PAIR_BUILD_MAX
+from starrisk.measures import _PAIR_BUILD_MAX, es_measure
 from starrisk.state_space import (
     Capacity,
     DimensionError,
@@ -35,6 +36,27 @@ def test_state_space_validation():
     s = StateSpace.uniform(4)
     assert s.n == 4
     assert math.isclose(float(s.probs.sum()), 1.0, abs_tol=1e-12)
+
+
+def hex_floats(*hexes):
+    return [float.fromhex(h) for h in hexes]
+
+
+# Weights on which numpy's pairwise sum and the exactly rounded math.fsum
+# disagree about the mass: fsum is 1 + 1.0e-12 on the first, within 1e-12
+# on the second.
+FSUM_OFF = hex_floats("0x1.a9028bb0f5b6ap-2", "0x1.6ceb6e469db63p-2",
+                      "0x1.d4240c10e1f23p-3")
+FSUM_ON = hex_floats("0x1.750ecd7d2b1bfp-2", "0x1.ba1608cd0c758p-3",
+                     "0x1.ade62e1c530f2p-2")
+
+
+def test_state_space_mass_is_the_law_rule():
+    # a space takes its weights by the fsum mass rule of every law on it
+    with pytest.raises(DomainError, match="not 1 within"):
+        StateSpace(FSUM_OFF)
+    x = LossProfile(StateSpace(FSUM_ON), [1.0, 2.0, 3.0])
+    assert 2.0 < es_measure(0.5)(x) < 3.0
 
 
 def test_profile_validation_and_arithmetic():
@@ -95,6 +117,30 @@ def test_quantile_breakpoints():
     assert np.allclose(quantile_breakpoints(d2), [0.1])
 
 
+def test_tied_losses_merge_in_state_order():
+    weights = hex_floats("0x1.532a8ff92a4b7p-3", "0x1.81f03e871f42fp-2",
+                         "0x1.178c35e945930p-2", "0x1.79dc87260c08ap-3")
+    values = [2.0, 2.0, 2.0, -1.0]
+    # the weights of the tied 2.0 added as they stand, not by size
+    want = "0x1.a188de367cfddp-1"
+    space = StateSpace(weights)
+    assert _space_atoms(values, space)[1][1].hex() == want
+    assert distribution_of(LossProfile(space, values)).probs[1].hex() == want
+    assert LossDistribution(zip(values, weights)).probs[1].hex() == want
+
+
+@pytest.mark.parametrize("atoms", [
+    [(math.inf, 0.5), (1.0, 0.5)],
+    [(-math.inf, 0.25), (1.0, 0.75)],
+    [(math.inf, 0.5), (1.0, 0.25), (-math.inf, 0.25)],
+    [(math.nan, 0.5), (1.0, 0.5)],
+    [(1.0, math.nan), (2.0, 1.0)],
+])
+def test_distribution_refuses_non_finite_atoms(atoms):
+    with pytest.raises(DomainError, match="must be finite"):
+        LossDistribution(atoms)
+
+
 def test_distribution_refuses_bad_atoms():
     with pytest.raises(DomainError, match="at least one atom"):
         LossDistribution([])
@@ -152,7 +198,8 @@ PairLaw = namedtuple("PairLaw", "values probs cum")
 @given(atom_arrays())
 def test_array_build_matches_pair_build(arrays):
     values, probs = arrays
-    merged = _merge_sorted(sorted(zip(values.tolist(), probs.tolist())))
+    merged = _merge_sorted(sorted(zip(values.tolist(), probs.tolist()),
+                                  key=itemgetter(0)))
     ref = PairLaw(*merged, list(accumulate(merged[1])))
     d = LossDistribution(zip(values.tolist(), probs.tolist()))
     for name in ("values", "probs", "cum"):
@@ -166,7 +213,8 @@ def test_array_build_matches_pair_build(arrays):
 @settings(max_examples=200, deadline=None)
 @given(atom_arrays())
 def test_law_of_a_profile_matches_pair_build(arrays):
-    # the kernels' atoms reuse their space's weight list and mass verdict
+    # twice: the second build of the kernels' atoms reuses the space's
+    # cached weight list
     values, probs = arrays
     x = LossProfile(StateSpace(probs), values)
     d = distribution_of(x)
