@@ -139,23 +139,35 @@ def load_scenarios(path):
                 raise CliInputError("need at least one loss column after 'prob'")
             if len(names) != len(set(names)):
                 raise CliInputError("duplicate loss column names")
-            probs = []
-            columns = {name: [] for name in names}
+            body = []
             for r, row in enumerate(rows, start=2):
                 if len(row) != len(header):
+                    _check_cells(body, names)  # a bad cell above comes first
                     raise CliInputError(
                         "row %d has %d fields, expected %d" % (r, len(row), len(header))
                     )
-                probs.append(_parse_float(row[1], r, "prob"))
-                for name, cell in zip(names, row[2:]):
-                    columns[name].append(_parse_float(cell, r, name))
+                body.append(row)
     except OSError as err:
         raise CliInputError("cannot read %s: %s" % (path, err)) from None
-    if not probs:
+    if not body:
         raise CliInputError("%s has a header but no scenario rows" % path)
+    try:
+        probs, *losses = [list(map(float, cells)) for cells in list(zip(*body))[1:]]
+    except ValueError:
+        _check_cells(body, names)
+        raise
     space = StateSpace(probs)  # validates mass and positivity
-    profiles = {n: LossProfile(space, v) for n, v in columns.items()}
+    profiles = {n: LossProfile(space, v) for n, v in zip(names, losses)}
     return space, profiles
+
+
+def _check_cells(body, names):
+    """Raise on the first cell of the data rows ``body``, in reading order,
+    that is not a number, naming its row and column."""
+    for r, row in enumerate(body, start=2):
+        _parse_float(row[1], r, "prob")
+        for name, cell in zip(names, row[2:]):
+            _parse_float(cell, r, name)
 
 
 def load_spec(path):

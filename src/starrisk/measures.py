@@ -346,7 +346,7 @@ class Utility:
     u(x) = slope * x keeps the low digits of x at any scale.
     """
 
-    __slots__ = ("xs", "ys", "slopes", "_cuts", "_x0", "_y0")
+    __slots__ = ("xs", "ys", "slopes", "_cuts", "_x0", "_y0", "_bound")
 
     def __init__(self, knots):
         pts = [(float(x), float(y)) for x, y in knots]
@@ -371,6 +371,12 @@ class Utility:
             a.setflags(write=False)
         self.xs, self.ys, self.slopes = xs, ys, slopes
         self._cuts, self._x0, self._y0 = cuts, x0, y0
+        # for shortfall's replay radius: the least slope (0 if subnormal,
+        # where the stored slope's relative error is unbounded), the
+        # largest, and 3 |y_z| + 2 S |x_z| of the zero knot
+        least, most, z = float(slopes.min()), float(slopes.max()), at_zero[0]
+        self._bound = (least if least >= 2.0 ** -1022 else 0.0, most,
+                       3.0 * abs(float(ys[z])) + 2.0 * most * abs(float(xs[z])))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -407,16 +413,122 @@ def shortfall(d, u):
     guaranteed sign change on [min atom, max atom]; bisection stops at
     width 1e-10 times the largest magnitude s of the atoms when s < 1,
     else at 1e-10, or at the spacing of doubles near the root.
+
+    The search is replayed: its midpoints, and so its answer, are bit for
+    bit those of the float bisection on ``acceptable(m)``, the sign of
+    F(m) = fl(sum_i p_i u(fl(m - v_i))), but most tests are answered from
+    a root r (``_shortfall_root``) and a radius rho.  A midpoint at or
+    above r + rho is acceptable, one at or below r - rho is not, and only
+    one in between evaluates F.
+
+    The radius.  Let e = 2**-53, g_k = k e / (1 - k e), n the number of
+    atoms, P their mass, S and s the largest and least slopes of ``u``,
+    (x_z, y_z) its zero knot, and G(m) = sum_i p_i U(m - v_i) with U the
+    exact piecewise-linear function through the knots.  ``u`` evaluates x
+    on segment j as fl(y0 + fl(s_j fl(x - x0))): that is within g_3 a of
+    the line y0 + s_j (x - x0), a = |y0| + |s_j (x - x0)|, and the stored
+    slope s_j, within g_3 of the exact one, moves that line (and so the
+    jump between rounded lines at a cut) by at most g_4 a.  y0 and
+    s_j (x - x0) share a sign unless |y0| <= |y_z|, so
+    a (1 - g_4) <= |U(x)| + 2 |y_z| <= (1 + g_4) S |x| + Z, with
+    Z = 3 |y_z| + 2 S |x_z|.  fl(m - v_i) is within e of m - v_i, and the
+    dot is within g_n sum |p_i w_i| in any summation order (Higham 2002,
+    section 3.1).  With P <= 2 and the underflow of at most two products
+    per atom,
+
+        |F(m) - G(m)| <= E(m) = g (S M(m) + 2 Z) + n 2**-1072,
+
+    g = g_{n+32} and M(m) = sum_i p_i |m - v_i|, so E(r + t) <= E(r) + k |t|
+    with k = g S P.  G rises with slope at least q = s P, so its root lies
+    within (|F(r)| + E(r)) / q of r, and F(r + t) >= 0 for t >= rho and
+    F(r - t) < 0 for t > rho, where rho = (|F(r)| + 2 E(r)) / (q - k).  The
+    code widens P, M(r), q and k by factors 1 -+ g for their own rounding,
+    and rho by a factor 1 + 2**-40 and by 2**-52 |r| for that of rho and
+    r +- rho.  When q <= k, or a bound overflows, rho is NaN or infinite
+    and every test evaluates F.
     """
+    v, p = d.values, d.probs
 
     def acceptable(m):
-        return float(np.dot(d.probs, u(m - d.values))) >= 0.0
+        return float(np.dot(p, u(m - v))) >= 0.0
 
-    lo, hi = float(d.values[0]), float(d.values[-1])
-    if acceptable(lo):
+    n, mass = v.size, float(d.cum[-1])
+    r = _shortfall_root(d, u)
+    w = r - v
+    f = float(np.dot(p, u(w)))
+    least, most, slack = u._bound
+    g = (n + 32) * _EPS / (1.0 - (n + 32) * _EPS)
+    err = g * (most * float(np.dot(p, np.abs(w))) * (1.0 + g) + 2.0 * slack)
+    err += n * 2.0 ** -1072
+    q, k = least * mass * (1.0 - g), g * most * mass * (1.0 + g)
+    rho = (abs(f) + 2.0 * err) / (q - k) if q > k else math.nan
+    rho = rho * (1.0 + 2.0 ** -40) + 2.0 ** -52 * abs(r)
+    above, below = r + rho, r - rho
+
+    def replay(m):
+        # a NaN radius answers no test
+        return m >= above or (not m <= below and acceptable(m))
+
+    lo, hi = float(v[0]), float(v[-1])
+    if replay(lo):
         return lo
     scale = max(-lo, hi)
-    return _bisect(acceptable, lo, hi, _SHORTFALL_TOL * min(1.0, scale))
+    return _bisect(replay, lo, hi, _SHORTFALL_TOL * min(1.0, scale))
+
+
+# unit roundoff of doubles
+_EPS = 2.0 ** -53
+
+
+def _shortfall_root(d, u):
+    """A root of m -> sum_i p_i u(m - v_i) on the law ``d``, up to rounding.
+
+    The map is piecewise linear, with breakpoints v_i + cut_j.  Around the
+    median atom c, prefix sums of p and of p (v - c) give each segment's
+    mass and moment at any m by one ``searchsorted`` of m - cuts, so the
+    map's value and slope there cost O(K log n) for K cuts.  Newton steps
+    solve the linear piece at m, kept inside the sign bracket (bisection
+    when a step leaves it), until a step lands in the piece it solved.
+    Only speed depends on the result: ``shortfall`` bounds its distance to
+    the root from a float evaluation.
+    """
+    v, n = d.values, d.values.size
+    c = float(v[n // 2])
+    cum = np.concatenate((_ZERO, d.cum))
+    cumv = np.concatenate((_ZERO, (d.probs * (v - c)).cumsum()))
+    cuts, x0s, y0s, slopes = u._cuts, u._x0.tolist(), u._y0.tolist(), u.slopes.tolist()
+    a, b = float(v[0]), float(v[-1])
+    m, solved = c, None
+    for _ in range(_ROOT_STEPS):
+        piece = v.searchsorted(m - cuts, side="right").tolist()
+        if piece == solved:
+            break
+        ends = [n] + piece + [0]
+        cs, cvs = cum[ends].tolist(), cumv[ends].tolist()
+        value = slope = 0.0
+        for j, (x0, y0, s) in enumerate(zip(x0s, y0s, slopes)):
+            share = cs[j] - cs[j + 1]
+            value += share * (y0 + s * (m - c - x0)) - s * (cvs[j] - cvs[j + 1])
+            slope += s * share
+        step = m - value / slope if slope else m
+        if step == m:
+            break
+        if value >= 0.0:
+            b = m
+        else:
+            a = m
+        solved = piece if a < step < b else None
+        if solved is None:
+            step = 0.5 * (a + b)
+            if not a < step < b:
+                break
+        m = step
+    return m
+
+
+# cap on the steps of ``_shortfall_root``; one that leaves its bracket
+# halves it instead
+_ROOT_STEPS = 100
 
 
 # ---------------------------------------------------------------------------

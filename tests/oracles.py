@@ -171,6 +171,40 @@ def oracle_shortfall(values, probs, knots, tol=0.0):
     raise AssertionError("root not bracketed")
 
 
+# The library's former shortfall, a float bisection of m -> E[u(m - X)] on
+# a law ``d`` with a ``Utility`` ``u``, kept as the bit-for-bit reference
+# of the replayed search that replaced it.
+
+_SHORTFALL_TOL = 1e-10
+
+
+def _bisect(pred, lo, hi, tol):
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_shortfall(d, u):
+    """inf{m : E[u(m - X)] >= 0} by bracketed float bisection, stopping at
+    width 1e-10 times min(1, largest atom magnitude) or at the spacing of
+    doubles near the root."""
+
+    def acceptable(m):
+        return float(np.dot(d.probs, u(m - d.values))) >= 0.0
+
+    lo, hi = float(d.values[0]), float(d.values[-1])
+    if acceptable(lo):
+        return lo
+    scale = max(-lo, hi)
+    return _bisect(acceptable, lo, hi, _SHORTFALL_TOL * min(1.0, scale))
+
+
 # ---------------------------------------------------------------------------
 # Choquet integral via the layer-cake formula
 # ---------------------------------------------------------------------------

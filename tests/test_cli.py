@@ -302,6 +302,18 @@ class TestInputErrors:
             "row 2, column 'book': could not parse 'x' as a number",
         )
 
+    def test_unparseable_number_in_a_later_row_and_column(self, tmp_path, capsys):
+        # the first bad cell in reading order is named, ahead of a later bad
+        # cell in an earlier column and of a later ragged row
+        bad = tmp_path / "bad.csv"
+        bad.write_text("state,prob,a,b\ns1,0.25,1,2\ns2,0.25,3,4\n"
+                       "s3,0.25,5,1e\ns4,x,7,8\ns5,0.25\n")
+        expect_input_error(
+            capsys,
+            ["eval", "--input", str(bad), "--spec", str(DATA / "basic.json")],
+            "row 4, column 'b': could not parse '1e' as a number",
+        )
+
     def test_probability_mass_off(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("state,prob,book\ns1,0.6,1\ns2,0.6,2\n")

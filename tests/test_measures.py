@@ -489,3 +489,88 @@ def test_star_compatibility_matches_ratio_oracle(case):
     assert got == oracles.oracle_star_compatible(knots)
     if shape == "concave":
         assert got
+
+
+# -- shortfall's replayed bisection --------------------------------------------
+
+# (x, y) knots: concave, star-shaped but not concave, and not star-shaped
+CONCAVE_KNOTS = [(-2.0, -5.0), (-1.0, -2.0), (0.0, 0.0), (1.0, 1.5), (3.0, 3.0)]
+STAR_KNOTS = [(-1.0, -3.0), (0.0, 0.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.4)]
+INCOMPATIBLE_KNOTS = [(-1.0, -2.0), (0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]
+
+
+def same_shortfall(d, knots):
+    u = Utility(knots)
+    assert shortfall(d, u).hex() == oracles.bisect_shortfall(d, u).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_profiles(),
+    st.one_of(
+        integer_knot_utilities().map(lambda case: case[1]),
+        st.sampled_from([CONCAVE_KNOTS, STAR_KNOTS, INCOMPATIBLE_KNOTS]),
+    ),
+    st.sampled_from([1e-6, 1.0, 1e6]),
+    st.sampled_from([0.0, 1.0, -1.0]),
+    st.integers(-12, 12),
+)
+def test_shortfall_replays_the_bisection_bit_for_bit(x, knots, knot_scale, sign, exponent):
+    # the law, its utility's knots and an offset each at its own magnitude;
+    # an offset far above the spread merges the atoms
+    offset = sign * 10.0 ** exponent
+    d = distribution_of(LossProfile(x.space, x.values + offset))
+    same_shortfall(d, [(knot_scale * kx, knot_scale * ky) for kx, ky in knots])
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("knots", [CONCAVE_KNOTS, STAR_KNOTS, INCOMPATIBLE_KNOTS])
+def test_shortfall_with_a_midpoint_within_one_ulp_of_the_root(knots, scale):
+    # under a linear utility the root of p0 u(m) + p1 u(m - s) is
+    # s p1 / (p0 + p1): the first midpoint s / 2, about one ulp above it,
+    # and about half an ulp below it; other utilities put the later
+    # midpoints near their roots at the ulp level
+    for p0, p1 in ((0.5, 0.5), (0.5 - 2.0**-53, 0.5 + 2.0**-53), (0.5, 0.5 - 2.0**-54)):
+        d = LossDistribution([(0.0, p0), (scale, p1)])
+        same_shortfall(d, [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)])
+        same_shortfall(d, knots)
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 1.0, 2.0**40])
+def test_shortfall_with_the_root_on_a_breakpoint(scale):
+    # 0.75 u(1) + 0.25 u(-2.5) = 0: the root 0 is v_0 + 1 and v_1 - 2.5, both
+    # knots, and no midpoint of [-1, 2.5]
+    knots = [(scale * kx, scale * ky) for kx, ky in
+             [(-2.5, -3.0), (0.0, 0.0), (1.0, 1.0), (2.0, 1.5)]]
+    values = [-scale, 2.5 * scale]
+    assert oracles.oracle_shortfall(values, [0.75, 0.25], knots) == 0.0
+    same_shortfall(LossDistribution(zip(values, [0.75, 0.25])), knots)
+    # on (-1, 1) with knots at -1 and 1 it is also the first midpoint
+    knots = [(-scale, -3.0 * scale), (0.0, 0.0), (scale, scale)]
+    assert oracles.oracle_shortfall([-scale, scale], [0.75, 0.25], knots) == 0.0
+    same_shortfall(LossDistribution([(-scale, 0.75), (scale, 0.25)]), knots)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, -3.0, 1e-12, 2.5e12])
+def test_shortfall_of_a_single_atom(value):
+    for knots in (CONCAVE_KNOTS, STAR_KNOTS, INCOMPATIBLE_KNOTS):
+        d = LossDistribution([(value, 1.0)])
+        same_shortfall(d, knots)
+        assert shortfall(d, Utility(knots)) == value
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize("n", [1024, 10_000])
+def test_shortfall_replays_the_bisection_at_large_n(n, scale):
+    # bulk_eval's profile shapes: Student t, normal and half-step ties
+    rng = np.random.default_rng([n, 17])
+    weights = rng.uniform(0.5, 1.5, size=n)
+    space = StateSpace(weights / weights.sum())
+    shapes = (rng.standard_t(5, size=n), rng.normal(size=n),
+              np.round(rng.normal(0.0, 1.5, size=n) * 2.0) / 2.0)
+    for values in shapes:
+        d = distribution_of(LossProfile(space, values * scale))
+        same_shortfall(d, STAR_KNOTS)
+        if n == 1024:
+            same_shortfall(d, CONCAVE_KNOTS)
+            same_shortfall(d, INCOMPATIBLE_KNOTS)
