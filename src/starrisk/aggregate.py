@@ -385,9 +385,10 @@ def _search_split(fam, x, config=None, assume_normal=False):
     exact.  Multi-start coordinate descent with golden-section line
     searches; deterministic for a fixed config.  The parts are plain
     float lists, and a point on the line of free coordinate (r, j) moves
-    only part r and the remainder, so only those two members are
-    rescored there; the other charges carry over.  Refuses to run when
-    the normality gate fails, unless ``assume_normal`` is set.
+    only entry j of part r and of the remainder, so only those two members
+    are rescored there, each on its line's law (``RiskEvaluator._line``);
+    the other charges carry over.  Refuses to run when the normality gate
+    fails, unless ``assume_normal`` is set.
     """
     config = config or SolverConfig()
     fam._check(x)
@@ -455,11 +456,14 @@ def _search_split(fam, x, config=None, assume_normal=False):
             for r in range(k - 1):
                 rho, row = members[r], rows[r]
                 for j in range(n):
+                    part = rho._line(row, j, space)
+                    rest = members[-1]._line(rows[-1], j, space)
+
                     def line(t):
                         row[j] = t
                         settle(rows, j)
-                        charges[r] = rho._score(row, space)
-                        charges[-1] = members[-1]._score(rows[-1], space)
+                        charges[r] = part(t)
+                        charges[-1] = rest(rows[-1][j])
                         return math.fsum(charges)
 
                     old = row[j]

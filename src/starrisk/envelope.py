@@ -380,6 +380,18 @@ def _grid_points(n, box, per_axis):
     return np.stack(axes, -1).reshape(-1, n)
 
 
+def _grid_charges(gamma, space, points, per_axis):
+    """gamma's charge of every row of a grid whose rows run the last axis
+    fastest: each block of ``per_axis`` rows is one line of the last
+    coordinate, scored by ``RiskEvaluator._line``."""
+    rows, j = points.tolist(), space.n - 1
+    charges = []
+    for b in range(0, len(rows), per_axis):
+        line = gamma._line(rows[b], j, space)
+        charges += [line(row[j]) for row in rows[b:b + per_axis]]
+    return charges
+
+
 def _conjugate(q, points, charges):
     """Largest E_Q[X] - charge(X) over the rows X, and the first X at it."""
     best, arg = -math.inf, None
@@ -413,7 +425,7 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     while searching and k <= 12:  # the base box and up to 12 expansions
         cur_box, cur_step = box * 4.0**k, step * 4.0**k
         points = _grid_points(space.n, cur_box, per_axis)
-        charges = [gamma._score(values, space) for values in points.tolist()]
+        charges = _grid_charges(gamma, space, points, per_axis)
         still = []
         for i in searching:
             value, arg = _conjugate(scen[i], points, charges)
@@ -427,7 +439,7 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
             else:  # interior argmax: polish on a local grid at a quarter step
                 local = _grid_points(space.n, cur_step, 9)
                 local = np.clip(arg + local, -cur_box, cur_box)
-                near = [gamma._score(values, space) for values in local.tolist()]
+                near = _grid_charges(gamma, space, local, 9)
                 best[i] = max(value, _conjugate(scen[i], local, near)[0])
         searching, k = still, k + 1
     if -math.inf in best:  # no row of the base grid gave a number

@@ -33,6 +33,7 @@ from .state_space import (
     MASS_TOL,
     StateSpace,
     _bisect,
+    _line_atoms,
     _space_atoms,
     distribution_of,
 )
@@ -57,7 +58,7 @@ KNOWN_CLAIMS = frozenset(
 
 # Up to this many states a kernel on plain lists beats the numpy law,
 # whose per-call overhead dominates at small n; ``RiskEvaluator._score``
-# sends larger profiles to ``fn``.
+# and ``_line`` send larger profiles to ``fn``.
 _PAIR_BUILD_MAX = 64
 
 
@@ -85,7 +86,9 @@ class RiskEvaluator:
     float bit for bit; larger profiles go through ``fn``.  The split
     solver, the normality gate and the penalty grid hand their rows to
     ``_score`` as plain lists, so kernel-backed members skip building a
-    ``LossProfile`` there too.
+    ``LossProfile`` there too.  Along a coordinate line of the search or
+    the grid only one entry moves, and ``_line`` scores it on a law kept
+    sorted for the whole line.
 
     Mean, ES and worst case also record their ES level (mean 0, worst case
     1).  Their dual sets are boxes cut from the probability simplex, nested
@@ -119,6 +122,22 @@ class RiskEvaluator:
                 values = values.tolist()
             return float(self._law(*_space_atoms(values, space)))
         return float(self._fn(LossProfile(space, values, _validate=False)))
+
+    def _line(self, values, j, space):
+        """``_score`` of the float list ``values`` with entry ``j`` set to t,
+        as a function of t, bit for bit: by the kernel on the line's law
+        (``_line_atoms``) when there is one and n <= 64, else by ``_score``
+        of a copy of the row."""
+        if self._law is not None and space.n <= _PAIR_BUILD_MAX:
+            law, atoms = self._law, _line_atoms(values, j, space)
+            return lambda t: float(law(*atoms(t)))
+        row = list(values)
+
+        def score(t):
+            row[j] = t
+            return self._score(row, space)
+
+        return score
 
     __call__ = evaluate
 

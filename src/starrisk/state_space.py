@@ -13,8 +13,9 @@ function, so concurrent evaluation needs no coordination.
 """
 
 import math
+from bisect import bisect_left
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, sub
 
 import numpy as np
 
@@ -116,11 +117,12 @@ class LossProfile:
         self.values = v
 
     # Linear-space structure: profiles add, scale, and shift by cash amounts.
+    # Each refuses a non-finite result, as the constructor does.
     def __add__(self, other):
         if isinstance(other, LossProfile):
             _require_same_space(self, other)
-            return LossProfile(self.space, self.values + other.values, _validate=False)
-        return LossProfile(self.space, self.values + float(other), _validate=False)
+            return self._finite(np.add, other.values)
+        return self._shift(np.add, float(other))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -128,16 +130,43 @@ class LossProfile:
     def __sub__(self, other):
         if isinstance(other, LossProfile):
             _require_same_space(self, other)
-            return LossProfile(self.space, self.values - other.values, _validate=False)
-        return LossProfile(self.space, self.values - float(other), _validate=False)
+            return self._finite(np.subtract, other.values)
+        return self._shift(np.subtract, float(other))
 
     def __mul__(self, scalar):
-        return LossProfile(self.space, self.values * float(scalar), _validate=False)
+        c = float(scalar)
+        # |c| <= 1 cannot overflow finite values; else the largest product
+        # in size is the largest entry's, rounded alike
+        if not abs(c) <= 1.0 and not math.isfinite(
+                abs(c) * float(np.abs(self.values).max())):
+            raise DomainError("loss values must be finite")
+        return self._result(self.values * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return LossProfile(self.space, -self.values, _validate=False)
+        return self._result(-self.values)
+
+    def _shift(self, op, c):
+        # a shift below 2**970 in size cannot overflow finite values: the
+        # exact result stays below 2**1024 - 2**970, which rounds down
+        if abs(c) < 2.0**970:
+            return self._result(op(self.values, c))
+        return self._finite(op, c)
+
+    def _finite(self, op, operand):
+        """Profile of ``op(values, operand)``, refused when not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = op(self.values, operand)
+        if not np.isfinite(v).all():
+            raise DomainError("loss values must be finite")
+        return self._result(v)
+
+    def _result(self, v):
+        # an array the arithmetic just made, so nothing else holds it: made
+        # read-only here, the constructor keeps it instead of copying it
+        v.setflags(write=False)
+        return LossProfile(self.space, v, _validate=False)
 
     def __repr__(self):
         return "LossProfile(%s)" % np.array2string(self.values, separator=", ")
@@ -212,6 +241,63 @@ def _space_atoms(values, space):
     if len(vals) < space.n:
         _check_mass(probs)
     return vals, probs, list(accumulate(probs))
+
+
+def _line_atoms(values, j, space):
+    """``_space_atoms`` of the float list ``values`` with entry ``j`` set
+    to t, as a function of t: the law along one coordinate line.
+
+    The n - 1 fixed entries are sorted once, stably, as ``_space_atoms``
+    sorts them, and exact ties among them merge there at any tolerance,
+    their weights added in state order.  t goes in by one ``bisect_left``,
+    and each insertion place's probabilities, running totals and mass
+    check are made once.  That gives the lists of ``_space_atoms`` bit for
+    bit whenever no other atoms merge, that is whenever every gap between
+    neighbouring distinct values exceeds the tolerance.  A gap of two
+    fixed values that t falls between bounds t's gaps to both, rounding
+    being monotone, so testing the smallest fixed gap and t's two
+    neighbours decides it.  The tolerance is taken, as there, from the
+    largest magnitude with t included; at any point where other atoms
+    could merge the row goes to ``_space_atoms`` unchanged.  The returned
+    lists may be shared between calls and must not be changed.
+    """
+    row = list(values)
+    weights = space._plain_probs()
+    fixed = list(zip(row, weights))
+    del fixed[j]
+    fixed.sort(key=_BY_VALUE)
+    vals, probs = [], []
+    for v, p in fixed:
+        if vals and v == vals[-1]:
+            probs[-1] += p
+        else:
+            vals.append(v)
+            probs.append(p)
+    merged = len(vals) < len(fixed)
+    gap = min(map(sub, vals[1:], vals[:-1]), default=math.inf)
+    last = len(vals)
+    places = [None] * (last + 1)
+
+    def atoms(t):
+        at = bisect_left(vals, t)
+        low = t if at == 0 else vals[0]
+        high = t if at == last else vals[-1]
+        merge_tol = VALUE_MERGE_TOL * max(-low, high)
+        if (gap > merge_tol and (at == 0 or t - vals[at - 1] > merge_tol)
+                and (at == last or vals[at] - t > merge_tol)):
+            place = places[at]
+            if place is None:
+                ps = probs[:at] + [weights[j]] + probs[at:]
+                if merged:
+                    _check_mass(ps)
+                place = places[at] = (ps, list(accumulate(ps)))
+            line_vals = vals.copy()
+            line_vals.insert(at, t)
+            return line_vals, place[0], place[1]
+        row[j] = t
+        return _space_atoms(row, space)
+
+    return atoms
 
 
 def _merge_sorted(pairs):

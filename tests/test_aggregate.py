@@ -317,6 +317,8 @@ class TestInfConvolution:
          [-0.0, 2.0, -0.0]),
         ((es_measure(0.5), worst_case_measure()), StateSpace.uniform(8),
          [-0.0, 0.0, 1.5, -0.0, -1.0, 0.0, 2.0, -0.0]),
+        # a tied target
+        ((es_measure(0.5), entropic_measure(1.0)), U4, [2.0, -1.0, 2.0, 2.0]),
     ])
     def test_kernel_members_give_the_same_split(self, members, space, values):
         # members rebuilt without the plain-atom kernel take the array path

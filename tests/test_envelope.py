@@ -497,15 +497,22 @@ class TestPenalty:
             assert abs(rebuilt - rho(x)) <= 0.05
 
     def test_kernel_member_gives_the_same_table(self):
-        # criterion 09's measure, scenarios and box; the member rebuilt
-        # without its plain-atom kernel takes the array path
+        # the member rebuilt without its plain-atom kernel takes the array
+        # path
         rho = es_measure(0.5)
         opaque = RiskEvaluator(rho.name, rho._fn, rho.claims)
-        scenarios = [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0),
-                     (1.25, 0.0), (0.0, 1.25), (1.5, 0.5)]
-        a = penalty_of(rho, U2, scenarios, box=4.0, step=0.25)
-        b = penalty_of(opaque, U2, scenarios, box=4.0, step=0.25)
-        assert a.alpha.tobytes() == b.alpha.tobytes()
+        cases = [
+            # criterion 09's space, scenarios and box
+            (U2, [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0),
+                  (1.25, 0.0), (0.0, 1.25), (1.5, 0.5)], 4.0, 0.25),
+            # three weighted states: each grid line has two fixed entries
+            (StateSpace([0.2, 0.3, 0.5]), [(0.2, 0.3, 0.5), (0.0, 0.4, 0.6),
+                                           (0.6, 0.3, 0.1), (1.2, 0.0, 0.3)], 2.0, 0.5),
+        ]
+        for space, scenarios, box, step in cases:
+            a = penalty_of(rho, space, scenarios, box=box, step=step)
+            b = penalty_of(opaque, space, scenarios, box=box, step=step)
+            assert a.alpha.tobytes() == b.alpha.tobytes()
 
     @pytest.mark.parametrize("lam, p, q, grid", [
         (0.7, (0.2, 0.8), (0.05, 0.95), {}),

@@ -1,19 +1,24 @@
 """Primitive measures against frozen oracle values and basic laws."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starrisk.state_space import (
+    VALUE_MERGE_TOL,
     DomainError,
     LossDistribution,
     LossProfile,
     StateSpace,
+    _line_atoms,
+    _space_atoms,
     distribution_of,
 )
 from starrisk.measures import (
+    RiskEvaluator,
     _es_levels,
     LossBenchmark,
     Utility,
@@ -404,6 +409,97 @@ def test_kernels_match_array_primitives_bit_for_bit(x, beta, lam):
     for rho, primitive in kernel_cases(beta, lam):
         assert rho._law is not None, rho.name
         assert outcome(lambda: rho(x)) == outcome(lambda: primitive(d)), rho.name
+
+
+# -- line-local laws -------------------------------------------------------------
+
+def hex_lists(atoms):
+    return [[v.hex() for v in part] for part in atoms]
+
+
+def line_points(values, j, rnd):
+    """Points on the line of entry ``j``: signed zeros; a few of the other
+    entries (their extremes among them), each with its neighbours at one
+    ulp and at the merge tolerance; and points outside their range, where
+    the tolerance grows with t until the other entries merge."""
+    others = values[:j] + values[j + 1:]
+    points = [0.0, -0.0]
+    if not others:
+        return points + [values[j], 1e-300, -2.5e12]
+    top = max(abs(v) for v in others) or 1.0
+    tol = VALUE_MERGE_TOL * top
+    picks = {min(others), max(others)} | set(rnd.sample(others, min(3, len(others))))
+    for v in picks:
+        points += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf),
+                   v + tol, v - tol, v + 2.0 * tol, v - 0.5 * tol]
+    for m in (min(others), max(others)):
+        # the tolerance of t itself at and just past m's neighbourhood
+        points += [m * (1.0 + 1e-12), m * (1.0 + 3e-12), 3.0 * m, -3.0 * m]
+    return points + [s * top * f for s in (1.0, -1.0) for f in (1e11, 1e12, 1e13, 1e16)]
+
+
+def with_signed_zeros(values, rnd):
+    return [rnd.choice((0.0, -0.0)) if v == 0.0 else v for v in values]
+
+
+def sample_points(values, j, rnd, k):
+    points = line_points(values, j, rnd)
+    return rnd.sample(points, min(k, len(points)))
+
+
+def check_line_atoms(values, space, rnd):
+    for j in range(space.n):
+        atoms = _line_atoms(values, j, space)
+        for t in sample_points(values, j, rnd, 5):
+            row = values[:j] + [t] + values[j + 1:]
+            assert hex_lists(atoms(t)) == hex_lists(_space_atoms(row, space)), (j, t)
+
+
+def line_members():
+    """Every kernel-backed factory, and one member without a kernel."""
+    members = [rho for rho, _ in kernel_cases(0.5, 1.0)]
+    es5 = es_measure(0.5)
+    return members + [RiskEvaluator("opaque_es", es5._fn, es5.claims)]
+
+
+def check_evaluator_lines(values, space, rnd):
+    for rho in line_members():
+        for j in range(space.n):
+            line = rho._line(values, j, space)
+            for t in sample_points(values, j, rnd, 2):
+                row = values[:j] + [t] + values[j + 1:]
+                assert outcome(lambda: line(t)) == outcome(
+                    lambda: rho._score(row, space)), (rho.name, j, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_profiles(), st.integers(0, 2**32 - 1))
+def test_line_atoms_match_the_edited_row(x, seed):
+    # a plain generator: Hypothesis records every draw of its own randoms
+    rnd = random.Random(seed)
+    values = with_signed_zeros(x.values.tolist(), rnd)
+    check_line_atoms(values, x.space, rnd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_profiles(), st.integers(0, 2**32 - 1))
+def test_evaluator_lines_match_the_edited_row(x, seed):
+    # a plain generator: Hypothesis records every draw of its own randoms
+    rnd = random.Random(seed)
+    values = with_signed_zeros(x.values.tolist(), rnd)
+    check_evaluator_lines(values, x.space, rnd)
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 0.0, -0.0, 0.0],  # the all-zero row
+    [1.5],  # one state
+    [0.5 * (i % 7) - 1.5 for i in range(70)],  # past the kernels' cutoff
+])
+def test_lines_on_edge_rows(values):
+    rnd = random.Random(7)
+    space = StateSpace.uniform(len(values))
+    check_line_atoms(values, space, rnd)
+    check_evaluator_lines(values, space, rnd)
 
 
 # -- the array primitives against their former formulas -------------------------

@@ -30,6 +30,7 @@ ES5, WC, MEAN = es_measure(0.5), worst_case_measure(), mean_measure()
 ENT1, VAR5 = entropic_measure(1.0), var_measure(0.5)
 W4 = StateSpace([0.1, 0.2, 0.3, 0.4])
 W5 = StateSpace([0.3, 0.05, 0.25, 0.15, 0.25])
+W16 = StateSpace([i / 136.0 for i in range(1, 17)])
 uniform = StateSpace.uniform
 
 
@@ -92,6 +93,15 @@ CASES = {
         uniform(3), [-0.0, 2.0, -0.0], {}),
     "opaque_es_wc_1e-6_n2": (
         opaque([ES5, WC]), uniform(2), [1e-6, -3e-6], {"seed": 9}),
+    # the kernels' largest size, with eight-fold ties half a unit apart
+    "es_wc_half_step_ties_n64": (
+        [ES5, WC], uniform(64), [0.5 * (i % 8) - 1.0 for i in range(64)],
+        {"starts": 2, "max_sweeps": 2, "polish_cap": 10}),
+    "var_es_weighted_zeros_1e12_n16": (
+        [VAR5, es_measure(0.75)], W16,
+        [1e12 * v for v in (0.0, 1.5, -2.0, 0.0, 3.0, -0.5, 0.0, 2.5,
+                            -1.0, 0.0, 1.0, 4.0, -3.0, 0.0, 0.5, 2.0)],
+        {"starts": 2, "max_sweeps": 3, "polish_cap": 20}),
 }
 
 

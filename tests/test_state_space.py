@@ -72,6 +72,26 @@ def test_profile_validation_and_arithmetic():
     assert np.allclose(z.values, 0.0)
 
 
+def test_profile_arithmetic_refuses_non_finite_results():
+    s = StateSpace.uniform(3)
+    x = LossProfile(s, [1.0, 2.0, -3.0])
+    big = LossProfile(s, [1e308, -1e308, 1.0])
+    for make in (lambda: x * 1e308, lambda: 1e308 * x, lambda: big + big,
+                 lambda: big - (-big), lambda: x + math.inf, lambda: x - math.nan,
+                 lambda: x * math.nan):
+        with pytest.raises(DomainError, match="loss values must be finite"):
+            make()
+    # a factor of at most 1 in size cannot overflow
+    half = big * 0.5
+    assert half.values.tolist() == [5e307, -5e307, 0.5]
+    # a shift overflows the largest double from 2**970 on
+    top = LossProfile(s, [np.finfo(float).max, 0.0, -1.0])
+    with pytest.raises(DomainError, match="loss values must be finite"):
+        top + 2.0**970
+    assert (top + math.nextafter(2.0**970, 0.0)).values[0] == np.finfo(float).max
+    assert (x + 1e300).values.tolist() == [1e300] * 3
+
+
 def test_pointwise_leq():
     s = StateSpace.uniform(2)
     a = LossProfile(s, [1.0, 2.0])
