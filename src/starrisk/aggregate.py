@@ -5,6 +5,7 @@ caution-weighted blend of committee extremes.
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 
 import numpy as np
 
@@ -195,6 +196,11 @@ def inf_capacity(k):
 # -- Inf-convolution --------------------------------------------------------
 
 
+# the least value of each SolverConfig setting
+_CONFIG_LEAST = {"seed": 0, "starts": 1, "max_sweeps": 0, "scan_points": 1,
+                 "polish_stall": 0, "polish_cap": 0}
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings for the multi-start coordinate-descent split solver.
@@ -207,7 +213,8 @@ class SolverConfig:
     of piecewise-linear objectives, and for convex members a random
     direction escapes any such non-optimal stall.  The line-search width
     (1e-9), the least improvement that counts (1e-12) and the normality
-    gate's 300 samples are fixed.
+    gate's 300 samples are fixed.  A search needs at least one start and
+    one scan point; the seed and the sweep and polish counts may be 0.
     """
 
     seed: int = 0
@@ -216,6 +223,14 @@ class SolverConfig:
     scan_points: int = 17
     polish_stall: int = 30
     polish_cap: int = 400
+
+    def __post_init__(self):
+        for name, least in _CONFIG_LEAST.items():
+            value = getattr(self, name)
+            if not value >= least:
+                raise DomainError(
+                    "solver %s must be at least %d, got %r" % (name, least, value)
+                )
 
 
 # Golden-section width of each line search, and the least drop in the split
@@ -264,16 +279,16 @@ def normality_check(fam, samples=1000, seed=0):
     return NormalityReport(True, "sampling", int(samples))
 
 
-def _golden_line(objective, lo, hi, scan_points):
-    """Minimize a 1-d function: coarse scan, then golden section in the
+def _golden_line(objective, grid):
+    """Minimize a 1-d function: coarse scan of the float list ``grid``
+    (``np.linspace`` of the line's ends), then golden section in the
     bracketing cell to width ``_LINE_TOL``, or until the golden points are
     no longer strictly inside it (adjacent doubles spaced wider than the
     width).  Returns (argmin, value)."""
-    grid = np.linspace(lo, hi, scan_points).tolist()
     vals = [objective(t) for t in grid]
     j = int(np.argmin(vals))
     a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, scan_points - 1)]
+    b = grid[min(j + 1, len(grid) - 1)]
     best_t, best_v = grid[j], vals[j]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -324,8 +339,8 @@ def _direction_polish(objective, theta, value, lo, hi, rng, config):
         def along(t):
             return [min(max(a + t * b, lo), hi) for a, b in zip(theta, d)]
 
-        t_best, v_best = _golden_line(lambda t: objective(along(t)),
-                                      t_lo, t_hi, config.scan_points)
+        grid = np.linspace(t_lo, t_hi, config.scan_points).tolist()
+        t_best, v_best = _golden_line(lambda t: objective(along(t)), grid)
         if v_best < value - _IMPROVE_TOL:
             theta = along(t_best)
             value = v_best
@@ -387,8 +402,9 @@ def _search_split(fam, x, config=None, assume_normal=False):
     float lists, and a point on the line of free coordinate (r, j) moves
     only entry j of part r and of the remainder, so only those two members
     are rescored there, each on its line's law (``RiskEvaluator._line``);
-    the other charges carry over.  Refuses to run when the normality gate
-    fails, unless ``assume_normal`` is set.
+    the other charges carry over.  Every line spans the same box, so its
+    scan grid is made once per search.  Refuses to run when the normality
+    gate fails, unless ``assume_normal`` is set.
     """
     config = config or SolverConfig()
     fam._check(x)
@@ -427,11 +443,16 @@ def _search_split(fam, x, config=None, assume_normal=False):
     def rows_of(theta):
         """The split's parts as float lists: the free parts of the flat
         list ``theta``, then the remainder that makes them sum to the
-        target."""
-        rows = [theta[r * n:(r + 1) * n] for r in range(k - 1)] + [[0.0] * n]
-        for j in range(n):
-            settle(rows, j)
-        return rows
+        target, summed in one pass as ``settle`` sums each entry."""
+        rows = [theta[r * n:(r + 1) * n] for r in range(k - 1)]
+        if n == 1 and k > 8:
+            rows.append([0.0])
+            settle(rows, 0)
+            return rows
+        s = [0.0] * n
+        for row in rows:
+            s = list(map(add, s, row))
+        return rows + [list(map(sub, xs, s))]
 
     def total_of(theta):
         return math.fsum(
@@ -445,6 +466,7 @@ def _search_split(fam, x, config=None, assume_normal=False):
     while len(starts) < config.starts:
         starts.append(rng.uniform(lo, hi, size=free))
 
+    grid = np.linspace(lo, hi, config.scan_points).tolist()
     best_theta, best_val, best_idx = None, math.inf, -1
     for s_idx, theta0 in enumerate(starts[: config.starts]):
         rows = rows_of(np.clip(theta0.astype(float), lo, hi).tolist())
@@ -467,7 +489,7 @@ def _search_split(fam, x, config=None, assume_normal=False):
                         return math.fsum(charges)
 
                     old = row[j]
-                    t_best, v_best = _golden_line(line, lo, hi, config.scan_points)
+                    t_best, v_best = _golden_line(line, grid)
                     # leave the line at its best point, or where it started
                     value, t = (v_best, t_best) if v_best < value else (value, old)
                     line(t)

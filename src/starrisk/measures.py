@@ -20,6 +20,7 @@ of *claimed* property flags; the claims are hypotheses only, the ``axioms``
 module is the sole verifier.
 """
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -81,14 +82,15 @@ class RiskEvaluator:
 
     The law-invariant factories (VaR, ES, mean, worst case, entropic and
     LVaR) also give their evaluator a kernel of the law's sorted atoms as
-    plain Python lists.  Profiles of up to 64 states are scored by that
-    kernel, which skips numpy's per-call overhead and returns the same
-    float bit for bit; larger profiles go through ``fn``.  The split
-    solver, the normality gate and the penalty grid hand their rows to
-    ``_score`` as plain lists, so kernel-backed members skip building a
-    ``LossProfile`` there too.  Along a coordinate line of the search or
-    the grid only one entry moves, and ``_line`` scores it on a law kept
-    sorted for the whole line.
+    plain Python lists, with the measure's parameters bound first.
+    Profiles of up to 64 states are scored by that kernel, which skips
+    numpy's per-call overhead and returns the same float bit for bit;
+    larger profiles go through ``fn``.  The split solver, the normality
+    gate and the penalty grid hand their rows to ``_score`` as plain
+    lists, so kernel-backed members skip building a ``LossProfile`` there
+    too.  Along a coordinate line of the search or the grid only one entry
+    moves, and ``_line`` scores it on a law kept sorted for the whole line,
+    through the kernel's line form in ``_LINE_FORMS``.
 
     Mean, ES and worst case also record their ES level (mean 0, worst case
     1).  Their dual sets are boxes cut from the probability simplex, nested
@@ -105,7 +107,8 @@ class RiskEvaluator:
         self._fn = fn
         self.claims = frozenset(claims)
         self.required_n = required_n
-        # kernel(values, probs, cum) of plain lists; set by law factories
+        # partial(kernel, *params), a function of the plain lists
+        # (values, probs, cum); set by law factories
         self._law = None
         # ES level of a box-dual primitive; set by its factory
         self._level = None
@@ -125,12 +128,15 @@ class RiskEvaluator:
 
     def _line(self, values, j, space):
         """``_score`` of the float list ``values`` with entry ``j`` set to t,
-        as a function of t, bit for bit: by the kernel on the line's law
-        (``_line_atoms``) when there is one and n <= 64, else by ``_score``
-        of a copy of the row."""
-        if self._law is not None and space.n <= _PAIR_BUILD_MAX:
-            law, atoms = self._law, _line_atoms(values, j, space)
-            return lambda t: float(law(*atoms(t)))
+        as a function of t, bit for bit.  With a kernel and n <= 64 the
+        line's law (``_line_atoms``) is scored by the kernel's line form,
+        looked up in ``_LINE_FORMS``: it runs once per insertion place of
+        t, and each point there costs one O(1) step.  Otherwise each point
+        is ``_score`` of a copy of the row."""
+        law = self._law
+        if law is not None and space.n <= _PAIR_BUILD_MAX:
+            form = functools.partial(_LINE_FORMS[law.func], *law.args)
+            return _line_atoms(values, j, space, form, law)
         row = list(values)
 
         def score(t):
@@ -150,18 +156,24 @@ class RiskEvaluator:
 # ---------------------------------------------------------------------------
 
 # Each primitive below takes a ``LossDistribution``; the ``_*_atoms``
-# kernel next to it takes the same law as plain lists (values, probs, cum)
-# and returns the same float bit for bit.
+# kernel next to it takes the measure's parameters, then the same law as
+# plain lists (values, probs, cum), and returns the same float bit for
+# bit.  Its ``_*_line`` form, listed in ``_LINE_FORMS``, scores a law
+# with one moving atom t: see ``state_space._line_atoms``.
 
 def var(d, beta):
     """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1]."""
-    return float(_var_atoms(d.values, d.probs, d.cum, beta))
+    return float(_var_atoms(beta, d.values, d.probs, d.cum))
 
 
-def _var_atoms(values, probs, cum, beta):
+def _var_atoms(beta, values, probs, cum):
     _check_var_level(beta)
+    return values[_var_index(beta, cum)]
+
+
+def _var_index(beta, cum):
     # P(X > v_i) <= 1 - beta  <=>  cum_i >= beta.
-    return values[min(bisect_left(cum, beta - MASS_TOL), len(values) - 1)]
+    return min(bisect_left(cum, beta - MASS_TOL), len(cum) - 1)
 
 
 def _check_var_level(beta):
@@ -184,15 +196,20 @@ def es(d, beta):
     return math.fsum(full[above:].tolist() + [partial]) / (1.0 - b)
 
 
-def _es_atoms(values, probs, cum, beta):
+def _es_atoms(beta, values, probs, cum):
     _check_es_level(beta)
-    terms, low = [], 0.0
-    for v, high in zip(values, cum):
-        # clipped overlap of the cell (low, high] with (beta, 1)
+    return math.fsum(map(operator.mul, values, _es_widths(beta, cum))) / (1.0 - beta)
+
+
+def _es_widths(beta, cum):
+    """Each cell's clipped overlap of (beta, 1), the weight of its value."""
+    widths, low = [], 0.0
+    for high in cum:
+        # the cell (low, high] against (beta, 1)
         overlap = (high if high < 1.0 else 1.0) - (low if low > beta else beta)
-        terms.append(v * (overlap if overlap > 0.0 else 0.0))
+        widths.append(overlap if overlap > 0.0 else 0.0)
         low = high
-    return math.fsum(terms) / (1.0 - beta)
+    return widths
 
 
 def _check_es_level(beta):
@@ -338,7 +355,7 @@ def entropic(d, lam):
     return m + lam * math.log(s)
 
 
-def _entropic_atoms(values, probs, cum, lam):
+def _entropic_atoms(lam, values, probs, cum):
     _check_entropic_parameter(lam)
     m = values[-1]
     s = math.fsum([p * math.exp((v - m) / lam) for v, p in zip(values, probs)])
@@ -589,14 +606,118 @@ def lvar(d, bench):
     The benchmark is a right-continuous step and var is constant per step,
     so the supremum is attained at the left endpoint of one of the steps.
     """
-    return float(_lvar_atoms(d.values, d.probs, d.cum, bench))
+    return float(_lvar_atoms(bench, d.values, d.probs, d.cum))
 
 
-def _lvar_atoms(values, probs, cum, bench):
+def _lvar_atoms(bench, values, probs, cum):
     return max(
-        _var_atoms(values, probs, cum, a) - t
+        _var_atoms(a, values, probs, cum) - t
         for t, a in zip(bench.times.tolist(), bench.levels.tolist())
     )
+
+
+# ---------------------------------------------------------------------------
+# Line forms
+# ---------------------------------------------------------------------------
+
+# A kernel's line form takes the kernel's parameters, then one insertion
+# place of a coordinate line (``state_space._line_atoms``): the sorted
+# fixed values ``vals``, and the probabilities and running totals of the
+# law with t inserted at index ``at``.  It checks the parameters as the
+# kernel does and returns step(t), the kernel's float on that law bit for
+# bit: the same terms, summed in the kernel's order.
+
+def _pick_line(vals, at, i):
+    """Step of a kernel that returns the line law's value at index i."""
+    if i == at:
+        return lambda t: t
+    c = vals[i - 1 if i > at else i]
+    return lambda t: c
+
+
+def _sum_line(vals, weights, at, scale):
+    """Step of ``math.fsum`` of value times weight over the line law,
+    divided by ``scale``: the fixed terms made once, t's put at index
+    ``at``.  The order is the kernel's, which an overflow can tell apart:
+    ``fsum([1e308, 1e308, -1e308])`` raises where ``[1e308, -1e308,
+    1e308]`` gives 1e308."""
+    terms = list(map(operator.mul, vals[:at] + [0.0] + vals[at:], weights))
+    w = weights[at]
+
+    def step(t):
+        terms[at] = t * w
+        return math.fsum(terms) / scale
+
+    return step
+
+
+def _var_line(beta, vals, probs, cum, at):
+    _check_var_level(beta)
+    return _pick_line(vals, at, _var_index(beta, cum))
+
+
+def _es_line(beta, vals, probs, cum, at):
+    _check_es_level(beta)
+    return _sum_line(vals, _es_widths(beta, cum), at, 1.0 - beta)
+
+
+def _mean_line(vals, probs, cum, at):
+    # dividing by 1.0 keeps every float's bits
+    return _sum_line(vals, probs, at, 1.0)
+
+
+def _worst_case_line(vals, probs, cum, at):
+    return _pick_line(vals, at, len(cum) - 1)
+
+
+def _entropic_line(lam, vals, probs, cum, at):
+    _check_entropic_parameter(lam)
+    if at == len(vals):
+        # t is the largest atom and sets the shift: the whole kernel
+        return lambda t: _entropic_atoms(lam, vals + [t], probs, cum)
+    m = vals[-1]
+    terms = [p * math.exp((v - m) / lam)
+             for v, p in zip(vals[:at] + [m] + vals[at:], probs)]
+    p = probs[at]
+
+    def step(t):
+        terms[at] = p * math.exp((t - m) / lam)
+        return m + lam * math.log(math.fsum(terms))
+
+    return step
+
+
+def _lvar_line(bench, vals, probs, cum, at):
+    # per level, VaR less the level's time: fixed, or t's slot to fill
+    diffs, moving = [], []
+    for time, a in zip(bench.times.tolist(), bench.levels.tolist()):
+        i = _var_index(a, cum)
+        if i == at:
+            moving.append((len(diffs), time))
+            diffs.append(0.0)
+        else:
+            diffs.append(vals[i - 1 if i > at else i] - time)
+    if not moving:
+        c = max(diffs)
+        return lambda t: c
+
+    def step(t):
+        for k, time in moving:
+            diffs[k] = t - time
+        return max(diffs)
+
+    return step
+
+
+# kernel -> its line form
+_LINE_FORMS = {
+    _var_atoms: _var_line,
+    _es_atoms: _es_line,
+    _mean_atoms: _mean_line,
+    _worst_case_atoms: _worst_case_line,
+    _entropic_atoms: _entropic_line,
+    _lvar_atoms: _lvar_line,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +730,12 @@ _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive",
 
 def _law_measure(name, claims, primitive, kernel, *params, level=None):
     """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
-    small profiles by ``kernel(values, probs, cum, *params)``; ``level``
+    small profiles by ``kernel(*params, values, probs, cum)``; ``level``
     is the ES level of a box-dual primitive."""
     rho = RiskEvaluator(
         name, lambda x: primitive(distribution_of(x), *params), claims
     )
-    rho._law = lambda values, probs, cum: kernel(values, probs, cum, *params)
+    rho._law = functools.partial(kernel, *params)
     rho._level = level
     return rho
 
@@ -679,7 +800,7 @@ def _scenario_var_measure(label, pick, weight_rows, beta):
                 "profile has %d states, scenarios expect %d" % (x.space.n, n)
             )
         values = x.values.tolist()
-        return pick([_var_atoms(*_space_atoms(values, s), beta) for s in spaces])
+        return pick([_var_atoms(beta, *_space_atoms(values, s)) for s in spaces])
 
     claims = _MONETARY + ("positively_homogeneous", "star_shaped")
     return RiskEvaluator("%s[%g]" % (label, beta), fn, claims, required_n=n)

@@ -243,23 +243,27 @@ def _space_atoms(values, space):
     return vals, probs, list(accumulate(probs))
 
 
-def _line_atoms(values, j, space):
-    """``_space_atoms`` of the float list ``values`` with entry ``j`` set
-    to t, as a function of t: the law along one coordinate line.
+def _line_atoms(values, j, space, form, law):
+    """``law(*_space_atoms(row, space))`` of the float list ``values``
+    with entry ``j`` set to t, as a function of t: the law along one
+    coordinate line, scored through the line form ``form``.
 
     The n - 1 fixed entries are sorted once, stably, as ``_space_atoms``
     sorts them, and exact ties among them merge there at any tolerance,
-    their weights added in state order.  t goes in by one ``bisect_left``,
-    and each insertion place's probabilities, running totals and mass
-    check are made once.  That gives the lists of ``_space_atoms`` bit for
-    bit whenever no other atoms merge, that is whenever every gap between
-    neighbouring distinct values exceeds the tolerance.  A gap of two
-    fixed values that t falls between bounds t's gaps to both, rounding
-    being monotone, so testing the smallest fixed gap and t's two
-    neighbours decides it.  The tolerance is taken, as there, from the
-    largest magnitude with t included; at any point where other atoms
-    could merge the row goes to ``_space_atoms`` unchanged.  The returned
-    lists may be shared between calls and must not be changed.
+    their weights added in state order.  t goes in by one ``bisect_left``.
+    The first point at an insertion place ``at`` makes that place's
+    probabilities and running totals, checks their mass when fixed entries
+    merged, and runs ``form(vals, probs, cum, at)`` once, ``vals`` the
+    sorted fixed values; the step it returns scores every later point
+    there.  Those lists are ``_space_atoms``' bit for bit, with t at index
+    ``at`` of the values, whenever no other atoms merge, that is whenever
+    every gap between neighbouring distinct values exceeds the tolerance.
+    A gap of two fixed values that t falls between bounds t's gaps to
+    both, rounding being monotone, so testing the smallest fixed gap and
+    t's two neighbours decides it.  The tolerance is taken, as there, from
+    the largest magnitude with t included; at any point where other atoms
+    could merge the row goes to ``_space_atoms`` and ``law`` unchanged.
+    A form that raises caches nothing, so every point there raises.
     """
     row = list(values)
     weights = space._plain_probs()
@@ -275,29 +279,27 @@ def _line_atoms(values, j, space):
             probs.append(p)
     merged = len(vals) < len(fixed)
     gap = min(map(sub, vals[1:], vals[:-1]), default=math.inf)
-    last = len(vals)
-    places = [None] * (last + 1)
+    last, weight = len(vals), weights[j]
+    steps = [None] * (last + 1)
 
-    def atoms(t):
+    def score(t):
         at = bisect_left(vals, t)
         low = t if at == 0 else vals[0]
         high = t if at == last else vals[-1]
         merge_tol = VALUE_MERGE_TOL * max(-low, high)
         if (gap > merge_tol and (at == 0 or t - vals[at - 1] > merge_tol)
                 and (at == last or vals[at] - t > merge_tol)):
-            place = places[at]
-            if place is None:
-                ps = probs[:at] + [weights[j]] + probs[at:]
+            step = steps[at]
+            if step is None:
+                ps = probs[:at] + [weight] + probs[at:]
                 if merged:
                     _check_mass(ps)
-                place = places[at] = (ps, list(accumulate(ps)))
-            line_vals = vals.copy()
-            line_vals.insert(at, t)
-            return line_vals, place[0], place[1]
+                step = steps[at] = form(vals, ps, list(accumulate(ps)), at)
+            return step(t)
         row[j] = t
-        return _space_atoms(row, space)
+        return law(*_space_atoms(row, space))
 
-    return atoms
+    return score
 
 
 def _merge_sorted(pairs):

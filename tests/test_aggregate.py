@@ -294,6 +294,28 @@ class TestInfConvolution:
         shifted = aggregate._search_split(fam, x + 3.0, cfg).total
         assert math.isclose(shifted, base + 3.0, abs_tol=1e-6)
 
+    @pytest.mark.parametrize("setting, value", [
+        ("starts", 0),  # used to fail with a TypeError in the polish
+        ("starts", -1),  # used to run two starts and report -1
+        ("scan_points", 0),  # used to fail inside np.argmin
+        ("seed", -1),
+        ("max_sweeps", -1),
+        ("polish_stall", -1),
+        ("polish_cap", -1),
+    ])
+    def test_config_refuses_settings_that_break_the_search(self, setting, value):
+        with pytest.raises(DomainError, match="solver %s must be at least" % setting):
+            SolverConfig(**{setting: value})
+
+    def test_one_scan_point_keeps_its_result(self):
+        # frozen before the scan grid was built once per search
+        fam = MeasureFamily([es_measure(0.5), entropic_measure(1.0)], U3)
+        x = LossProfile(U3, [1.0, -2.0, 4.0])
+        cfg = SolverConfig(seed=2, starts=3, scan_points=1)
+        sol = aggregate._search_split(fam, x, cfg, assume_normal=True)
+        assert sol.total.hex() == "0x1.5243f60a3e076p+1"
+        assert [p.values.tolist() for p in sol.parts] == [[0.5, -1.0, 2.0]] * 2
+
     def test_deterministic(self):
         fam = MeasureFamily([es_measure(0.5), worst_case_measure()], U3)
         x = LossProfile(U3, [1.0, -2.0, 4.0])

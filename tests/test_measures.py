@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -379,8 +380,9 @@ LEVELS = st.one_of(
 def outcome(call):
     try:
         return float(call()).hex()
-    except DomainError as exc:
-        return "DomainError: %s" % exc
+    except (DomainError, OverflowError) as exc:
+        # OverflowError: math.fsum's intermediate overflow near 1e308
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 def kernel_cases(beta, lam):
@@ -418,10 +420,11 @@ def hex_lists(atoms):
 
 
 def line_points(values, j, rnd):
-    """Points on the line of entry ``j``: signed zeros; a few of the other
-    entries (their extremes among them), each with its neighbours at one
-    ulp and at the merge tolerance; and points outside their range, where
-    the tolerance grows with t until the other entries merge."""
+    """Finite points on the line of entry ``j``: signed zeros; a few of
+    the other entries (their extremes among them), each with its
+    neighbours at one ulp and at the merge tolerance; the extremes
+    negated; and points outside their range, where the tolerance grows
+    with t until the other entries merge."""
     others = values[:j] + values[j + 1:]
     points = [0.0, -0.0]
     if not others:
@@ -434,8 +437,9 @@ def line_points(values, j, rnd):
                    v + tol, v - tol, v + 2.0 * tol, v - 0.5 * tol]
     for m in (min(others), max(others)):
         # the tolerance of t itself at and just past m's neighbourhood
-        points += [m * (1.0 + 1e-12), m * (1.0 + 3e-12), 3.0 * m, -3.0 * m]
-    return points + [s * top * f for s in (1.0, -1.0) for f in (1e11, 1e12, 1e13, 1e16)]
+        points += [-m, m * (1.0 + 1e-12), m * (1.0 + 3e-12), 3.0 * m, -3.0 * m]
+    points += [s * top * f for s in (1.0, -1.0) for f in (1e11, 1e12, 1e13, 1e16)]
+    return [t for t in points if math.isfinite(t)]
 
 
 def with_signed_zeros(values, rnd):
@@ -443,33 +447,52 @@ def with_signed_zeros(values, rnd):
 
 
 def sample_points(values, j, rnd, k):
+    """``k`` of the line's points, or all of them when ``k`` is None."""
     points = line_points(values, j, rnd)
-    return rnd.sample(points, min(k, len(points)))
+    return points if k is None else rnd.sample(points, min(k, len(points)))
 
 
-def check_line_atoms(values, space, rnd):
+def list_form(vals, probs, cum, at):
+    """A line form whose step gives the law's three lists, so that a line
+    of ``_line_atoms`` can be checked against ``_space_atoms``."""
+    return lambda t: (vals[:at] + [t] + vals[at:], probs, cum)
+
+
+def check_line_atoms(values, space, rnd, k=5):
     for j in range(space.n):
-        atoms = _line_atoms(values, j, space)
-        for t in sample_points(values, j, rnd, 5):
+        atoms = _line_atoms(values, j, space, list_form, lambda *lists: lists)
+        for t in sample_points(values, j, rnd, k):
             row = values[:j] + [t] + values[j + 1:]
             assert hex_lists(atoms(t)) == hex_lists(_space_atoms(row, space)), (j, t)
 
 
 def line_members():
-    """Every kernel-backed factory, and one member without a kernel."""
-    members = [rho for rho, _ in kernel_cases(0.5, 1.0)]
+    """(member, refused) for every kernel-backed factory, at a valid level
+    and at the invalid levels ``kernel_cases`` draws (VaR at level 1 is
+    valid), and for one member without a kernel; a refused member's every
+    point raises ``_score``'s DomainError."""
+    members = [(rho, False) for rho, _ in kernel_cases(0.5, 1.0)]
+    for beta in (0.0, 1.0, -0.5, 1.5):
+        members += [(var_measure(beta), beta != 1.0), (es_measure(beta), True)]
+    members += [(entropic_measure(lam), True) for lam in (0.0, -1.0)]
     es5 = es_measure(0.5)
-    return members + [RiskEvaluator("opaque_es", es5._fn, es5.claims)]
+    return members + [(RiskEvaluator("opaque_es", es5._fn, es5.claims), False)]
 
 
-def check_evaluator_lines(values, space, rnd):
-    for rho in line_members():
-        for j in range(space.n):
+def check_evaluator_lines(values, space, rnd, k=6, lines=2):
+    """Up to ``lines`` lines per member, each scored at ``k`` sampled
+    points (all when None), shuffled, each twice: the second score at an
+    insertion place comes from its cached step."""
+    for rho, refused in line_members():
+        for j in rnd.sample(range(space.n), min(lines, space.n)):
             line = rho._line(values, j, space)
-            for t in sample_points(values, j, rnd, 2):
+            points = sample_points(values, j, rnd, k) * 2
+            rnd.shuffle(points)
+            for t in points:
                 row = values[:j] + [t] + values[j + 1:]
-                assert outcome(lambda: line(t)) == outcome(
-                    lambda: rho._score(row, space)), (rho.name, j, t)
+                got = outcome(lambda: line(t))
+                assert got == outcome(lambda: rho._score(row, space)), (rho.name, j, t)
+                assert got.startswith("DomainError") or not refused, (rho.name, j, t)
 
 
 @settings(max_examples=150, deadline=None)
@@ -490,16 +513,38 @@ def test_evaluator_lines_match_the_edited_row(x, seed):
     check_evaluator_lines(values, x.space, rnd)
 
 
+# Near the largest double, on weights whose fsum is 1 + 9e-13: the mean's
+# two positive terms alone overflow math.fsum, so on the line of entry 0
+# t's term decides whether the sum overflows.  In the kernel's order that
+# term comes first, and t = -MAX keeps the sum finite; t = 0 overflows.
+MAX = sys.float_info.max
+OVERFLOW_ROW = [-MAX, MAX * (1.0 - 2e-12), MAX]
+OVERFLOW_WEIGHTS = [0.6e-12, 0.001, 0.999 + 0.3e-12]
+
+
 @pytest.mark.parametrize("values", [
     [0.0, -0.0, 0.0, -0.0, 0.0],  # the all-zero row
     [1.5],  # one state
     [0.5 * (i % 7) - 1.5 for i in range(70)],  # past the kernels' cutoff
+    OVERFLOW_ROW,
 ])
 def test_lines_on_edge_rows(values):
     rnd = random.Random(7)
-    space = StateSpace.uniform(len(values))
-    check_line_atoms(values, space, rnd)
-    check_evaluator_lines(values, space, rnd)
+    if values is OVERFLOW_ROW:
+        space = StateSpace(OVERFLOW_WEIGHTS)
+        # the row tells term orders apart; both points are on its lines
+        line = mean_measure()._line(values, 0, space)
+        assert line(-MAX) < MAX
+        with pytest.raises(OverflowError):
+            line(0.0)
+    else:
+        space = StateSpace.uniform(len(values))
+    if space.n <= 5:  # every point of every line
+        check_line_atoms(values, space, rnd, None)
+        check_evaluator_lines(values, space, rnd, None, space.n)
+    else:
+        check_line_atoms(values, space, rnd)
+        check_evaluator_lines(values, space, rnd)
 
 
 # -- the array primitives against their former formulas -------------------------
