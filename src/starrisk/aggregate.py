@@ -172,6 +172,8 @@ def additive_capacity(weights):
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size < 1:
         raise DomainError("weights must be a nonempty vector")
+    if not np.isfinite(w).all():
+        raise DomainError("weights must be finite")
     if np.any(w < 0.0):
         raise DomainError("weights must be nonnegative")
     if abs(math.fsum(w.tolist()) - 1.0) > MASS_TOL:
@@ -213,8 +215,9 @@ class SolverConfig:
     of piecewise-linear objectives, and for convex members a random
     direction escapes any such non-optimal stall.  The line-search width
     (1e-9), the least improvement that counts (1e-12) and the normality
-    gate's 300 samples are fixed.  A search needs at least one start and
-    one scan point; the seed and the sweep and polish counts may be 0.
+    gate's 300 samples are fixed.  Every setting is an integer (a numpy
+    one too).  A search needs at least one start and one scan point; the
+    seed and the sweep and polish counts may be 0.
     """
 
     seed: int = 0
@@ -227,6 +230,8 @@ class SolverConfig:
     def __post_init__(self):
         for name, least in _CONFIG_LEAST.items():
             value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise DomainError("solver %s must be an integer, got %r" % (name, value))
             if not value >= least:
                 raise DomainError(
                     "solver %s must be at least %d, got %r" % (name, least, value)
@@ -351,16 +356,16 @@ def _direction_polish(objective, theta, value, lo, hi, rng, config):
 
 
 def _smallest_box(fam):
-    """Index of the member with the smallest dual set when every member
-    has a box level (``mean_measure``, ``es_measure``, ``worst_case_measure``),
-    else None.
+    """Index of the member with the smallest dual set when every member's
+    law record has a box level (``mean_measure``, ``es_measure``,
+    ``worst_case_measure``), else None.
 
     Their dual sets are the probability simplex cut by q <= p / (1 - level)
     (no cut at level 1), nested by level: {P} (mean, level 0) lies inside
     every ES box, and every box inside the simplex (worst case).  The
     first member at the lowest level is returned.
     """
-    levels = [rho._level for rho in fam.members]
+    levels = [None if rho._law is None else rho._law.level for rho in fam.members]
     if None in levels:
         return None
     return levels.index(min(levels))

@@ -20,10 +20,11 @@ of *claimed* property flags; the claims are hypotheses only, the ``axioms``
 module is the sole verifier.
 """
 
-import functools
 import math
 import operator
 from bisect import bisect_left
+from collections import namedtuple
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -81,23 +82,23 @@ class RiskEvaluator:
         weight vectors and are pinned).
 
     The law-invariant factories (VaR, ES, mean, worst case, entropic and
-    LVaR) also give their evaluator a kernel of the law's sorted atoms as
-    plain Python lists, with the measure's parameters bound first.
-    Profiles of up to 64 states are scored by that kernel, which skips
-    numpy's per-call overhead and returns the same float bit for bit;
-    larger profiles go through ``fn``.  The split solver, the normality
-    gate and the penalty grid hand their rows to ``_score`` as plain
-    lists, so kernel-backed members skip building a ``LossProfile`` there
-    too.  Along a coordinate line of the search or the grid only one entry
-    moves, and ``_line`` scores it on a law kept sorted for the whole line,
-    through the kernel's line form in ``_LINE_FORMS``.
+    LVaR) refuse bad parameters when called, with the primitive's
+    ``DomainError``, and give their evaluator one record, ``_law``: a
+    kernel of the law's sorted atoms as plain lists and its line form,
+    both with the parameters bound, and a box level.  Profiles of up to
+    64 states are scored by the kernel, which skips numpy's per-call
+    overhead and returns the same float bit for bit; larger profiles go
+    through ``fn``.  The split solver, the normality gate and the penalty
+    grid hand their rows to ``_score`` as plain lists.  Along their
+    coordinate lines only one entry moves, and ``_line`` scores it on a
+    law kept sorted for the whole line, through the line form.
 
-    Mean, ES and worst case also record their ES level (mean 0, worst case
-    1).  Their dual sets are boxes cut from the probability simplex, nested
-    by level, which ``aggregate.inf_convolution`` uses to split exactly.
+    The box level is the ES level of mean (0), ES and worst case (1).
+    Their dual sets are boxes cut from the probability simplex, nested by
+    level, which ``aggregate.inf_convolution`` uses to split exactly.
     """
 
-    __slots__ = ("name", "_fn", "claims", "required_n", "_law", "_level")
+    __slots__ = ("name", "_fn", "claims", "required_n", "_law")
 
     def __init__(self, name, fn, claims=(), required_n=None):
         unknown = set(claims) - KNOWN_CLAIMS
@@ -107,11 +108,8 @@ class RiskEvaluator:
         self._fn = fn
         self.claims = frozenset(claims)
         self.required_n = required_n
-        # partial(kernel, *params), a function of the plain lists
-        # (values, probs, cum); set by law factories
+        # the _Law record of a law factory
         self._law = None
-        # ES level of a box-dual primitive; set by its factory
-        self._level = None
 
     def evaluate(self, x):
         return self._score(x.values, x.space)
@@ -123,20 +121,19 @@ class RiskEvaluator:
         if self._law is not None and space.n <= _PAIR_BUILD_MAX:
             if not isinstance(values, list):
                 values = values.tolist()
-            return float(self._law(*_space_atoms(values, space)))
+            return float(self._law.score(*_space_atoms(values, space)))
         return float(self._fn(LossProfile(space, values, _validate=False)))
 
     def _line(self, values, j, space):
         """``_score`` of the float list ``values`` with entry ``j`` set to t,
         as a function of t, bit for bit.  With a kernel and n <= 64 the
-        line's law (``_line_atoms``) is scored by the kernel's line form,
-        looked up in ``_LINE_FORMS``: it runs once per insertion place of
-        t, and each point there costs one O(1) step.  Otherwise each point
-        is ``_score`` of a copy of the row."""
+        line's law (``_line_atoms``) is scored by the kernel's line form:
+        it runs once per insertion place of t, and each point there costs
+        one O(1) step.  Otherwise each point is ``_score`` of a copy of the
+        row."""
         law = self._law
         if law is not None and space.n <= _PAIR_BUILD_MAX:
-            form = functools.partial(_LINE_FORMS[law.func], *law.args)
-            return _line_atoms(values, j, space, form, law)
+            return _line_atoms(values, j, space, law.line, law.score)
         row = list(values)
 
         def score(t):
@@ -155,19 +152,19 @@ class RiskEvaluator:
 # Distribution-level measures
 # ---------------------------------------------------------------------------
 
-# Each primitive below takes a ``LossDistribution``; the ``_*_atoms``
-# kernel next to it takes the measure's parameters, then the same law as
-# plain lists (values, probs, cum), and returns the same float bit for
-# bit.  Its ``_*_line`` form, listed in ``_LINE_FORMS``, scores a law
-# with one moving atom t: see ``state_space._line_atoms``.
+# Each primitive below takes a ``LossDistribution`` and checks its
+# parameters; the ``_*_atoms`` kernel next to it takes parameters its
+# factory has checked, then the same law as plain lists (values, probs,
+# cum), and returns the same float bit for bit.  Its ``_*_line`` form
+# scores a law with one moving atom t: see ``state_space._line_atoms``.
 
 def var(d, beta):
     """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1]."""
+    _check_var_level(beta)
     return float(_var_atoms(beta, d.values, d.probs, d.cum))
 
 
 def _var_atoms(beta, values, probs, cum):
-    _check_var_level(beta)
     return values[_var_index(beta, cum)]
 
 
@@ -197,7 +194,6 @@ def es(d, beta):
 
 
 def _es_atoms(beta, values, probs, cum):
-    _check_es_level(beta)
     return math.fsum(map(operator.mul, values, _es_widths(beta, cum))) / (1.0 - beta)
 
 
@@ -343,7 +339,7 @@ def _lower_median(vals):
 
 
 def entropic(d, lam):
-    """Certain equivalent loss ``lam * log E[exp(X / lam)]``, lam > 0.
+    """Certain equivalent loss ``lam * log E[exp(X / lam)]``, 0 < lam < inf.
 
     Computed with a max shift so that large losses cannot overflow.
     """
@@ -356,7 +352,6 @@ def entropic(d, lam):
 
 
 def _entropic_atoms(lam, values, probs, cum):
-    _check_entropic_parameter(lam)
     m = values[-1]
     s = math.fsum([p * math.exp((v - m) / lam) for v, p in zip(values, probs)])
     return m + lam * math.log(s)
@@ -365,6 +360,8 @@ def _entropic_atoms(lam, values, probs, cum):
 def _check_entropic_parameter(lam):
     if not lam > 0.0:
         raise DomainError("entropic parameter must be positive, got %r" % lam)
+    if lam == math.inf:
+        raise DomainError("entropic parameter must be finite, got %r" % lam)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +387,8 @@ class Utility:
             raise DomainError("utility needs at least two knots")
         xs = np.array([x for x, _ in pts])
         ys = np.array([y for _, y in pts])
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise DomainError("utility knots must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("utility knot abscissae must be strictly increasing")
         slopes = np.diff(ys) / np.diff(xs)
@@ -588,9 +587,12 @@ class LossBenchmark:
         levels = np.array([a for _, a in pts])
         if times[0] != 0.0:
             raise DomainError("benchmark must start at t = 0")
+        if not np.isfinite(times).all():
+            raise DomainError("benchmark times must be finite")
         if np.any(np.diff(times) <= 0.0):
             raise DomainError("benchmark times must be strictly increasing")
-        if np.any(levels <= 0.0) or np.any(levels > 1.0):
+        # written so that a NaN level fails it too
+        if not np.all((levels > 0.0) & (levels <= 1.0)):
             raise DomainError("benchmark levels must lie in (0, 1]")
         if np.any(np.diff(levels) < 0.0):
             raise DomainError("benchmark levels must be nondecreasing")
@@ -623,9 +625,9 @@ def _lvar_atoms(bench, values, probs, cum):
 # A kernel's line form takes the kernel's parameters, then one insertion
 # place of a coordinate line (``state_space._line_atoms``): the sorted
 # fixed values ``vals``, and the probabilities and running totals of the
-# law with t inserted at index ``at``.  It checks the parameters as the
-# kernel does and returns step(t), the kernel's float on that law bit for
-# bit: the same terms, summed in the kernel's order.
+# law with t inserted at index ``at``.  It returns step(t), the kernel's
+# float on that law bit for bit: the same terms, summed in the kernel's
+# order.
 
 def _pick_line(vals, at, i):
     """Step of a kernel that returns the line law's value at index i."""
@@ -652,12 +654,10 @@ def _sum_line(vals, weights, at, scale):
 
 
 def _var_line(beta, vals, probs, cum, at):
-    _check_var_level(beta)
     return _pick_line(vals, at, _var_index(beta, cum))
 
 
 def _es_line(beta, vals, probs, cum, at):
-    _check_es_level(beta)
     return _sum_line(vals, _es_widths(beta, cum), at, 1.0 - beta)
 
 
@@ -671,7 +671,6 @@ def _worst_case_line(vals, probs, cum, at):
 
 
 def _entropic_line(lam, vals, probs, cum, at):
-    _check_entropic_parameter(lam)
     if at == len(vals):
         # t is the largest atom and sets the shift: the whole kernel
         return lambda t: _entropic_atoms(lam, vals + [t], probs, cum)
@@ -709,17 +708,6 @@ def _lvar_line(bench, vals, probs, cum, at):
     return step
 
 
-# kernel -> its line form
-_LINE_FORMS = {
-    _var_atoms: _var_line,
-    _es_atoms: _es_line,
-    _mean_atoms: _mean_line,
-    _worst_case_atoms: _worst_case_line,
-    _entropic_atoms: _entropic_line,
-    _lvar_atoms: _lvar_line,
-}
-
-
 # ---------------------------------------------------------------------------
 # Evaluator factories
 # ---------------------------------------------------------------------------
@@ -728,44 +716,52 @@ _MONETARY = ("monotone", "translation_invariant", "normalized")
 _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive", "convex")
 
 
-def _law_measure(name, claims, primitive, kernel, *params, level=None):
+# What a law factory knows of its measure: ``score``, the kernel, and
+# ``line``, its line form, each with the measure's parameters bound; and
+# ``level``, the ES level of a box-dual primitive, else None.
+_Law = namedtuple("_Law", "score line level")
+
+
+def _law_measure(name, claims, primitive, kernel, line, *params, level=None):
     """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
-    small profiles by ``kernel(*params, values, probs, cum)``; ``level``
-    is the ES level of a box-dual primitive."""
+    small profiles by ``kernel(*params, values, probs, cum)``, for
+    parameters the caller has checked."""
     rho = RiskEvaluator(
         name, lambda x: primitive(distribution_of(x), *params), claims
     )
-    rho._law = functools.partial(kernel, *params)
-    rho._level = level
+    rho._law = _Law(partial(kernel, *params), partial(line, *params), level)
     return rho
 
 
 def var_measure(beta):
+    _check_var_level(beta)
     claims = _MONETARY + ("positively_homogeneous", "star_shaped", "law_invariant")
-    return _law_measure("var[%g]" % beta, claims, var, _var_atoms, beta)
+    return _law_measure("var[%g]" % beta, claims, var, _var_atoms, _var_line, beta)
 
 
 def es_measure(beta):
+    _check_es_level(beta)
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    # a level outside (0, 1) is refused on evaluation; it declares no box
-    level = beta if 0.0 < beta < 1.0 else None
-    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, beta, level=level)
+    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, _es_line, beta,
+                        level=beta)
 
 
 def mean_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return _law_measure("mean", claims, mean, _mean_atoms, level=0.0)
+    return _law_measure("mean", claims, mean, _mean_atoms, _mean_line, level=0.0)
 
 
 def worst_case_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
     return _law_measure("worst_case", claims, worst_case, _worst_case_atoms,
-                        level=1.0)
+                        _worst_case_line, level=1.0)
 
 
 def entropic_measure(lam):
+    _check_entropic_parameter(lam)
     claims = _MONETARY + ("star_shaped", "convex", "law_invariant", "ssd_consistent")
-    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms, lam)
+    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms,
+                        _entropic_line, lam)
 
 
 def shortfall_measure(u):
@@ -782,7 +778,7 @@ def shortfall_measure(u):
 
 def lvar_measure(bench):
     claims = _MONETARY + ("star_shaped", "law_invariant")
-    return _law_measure("lvar", claims, lvar, _lvar_atoms, bench)
+    return _law_measure("lvar", claims, lvar, _lvar_atoms, _lvar_line, bench)
 
 
 def _scenario_var_measure(label, pick, weight_rows, beta):
@@ -793,6 +789,7 @@ def _scenario_var_measure(label, pick, weight_rows, beta):
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise DomainError("scenario weight vectors must share one length")
+    _check_var_level(beta)
 
     def fn(x):
         if x.space.n != n:

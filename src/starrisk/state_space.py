@@ -263,7 +263,6 @@ def _line_atoms(values, j, space, form, law):
     t's two neighbours decides it.  The tolerance is taken, as there, from
     the largest magnitude with t included; at any point where other atoms
     could merge the row goes to ``_space_atoms`` and ``law`` unchanged.
-    A form that raises caches nothing, so every point there raises.
     """
     row = list(values)
     weights = space._plain_probs()
@@ -432,7 +431,8 @@ class Capacity:
             raise DomainError("capacity of the empty set must be 0")
         if abs(table[size - 1] - 1.0) > MASS_TOL:
             raise DomainError("capacity of the full set must be 1")
-        if np.any(table < -MASS_TOL) or np.any(table > 1.0 + MASS_TOL):
+        # written so that a NaN value fails it too
+        if not np.all((table >= -MASS_TOL) & (table <= 1.0 + MASS_TOL)):
             raise DomainError("capacity values must lie in [0, 1]")
         # Monotonicity: adding one element never decreases the value.
         for mask in range(size):

@@ -121,6 +121,7 @@ class TestChoquet:
         ([[0.5, 0.5]], "nonempty vector"),
         ([1.5, -0.5], "nonnegative"),
         ([0.5, 0.25], "sum to 1"),
+        ([math.nan, 1.0], "finite"),
     ])
     def test_additive_capacity_refusals(self, weights, message):
         with pytest.raises(DomainError, match=message):
@@ -302,10 +303,19 @@ class TestInfConvolution:
         ("max_sweeps", -1),
         ("polish_stall", -1),
         ("polish_cap", -1),
+        # each used to fail with a TypeError inside the search or numpy
+        ("starts", 2.5),
+        ("scan_points", 2.5),
+        ("max_sweeps", 1.5),
+        ("seed", 1.5),
     ])
     def test_config_refuses_settings_that_break_the_search(self, setting, value):
-        with pytest.raises(DomainError, match="solver %s must be at least" % setting):
+        fragment = "an integer" if isinstance(value, float) else "at least"
+        with pytest.raises(DomainError, match="solver %s must be %s" % (setting, fragment)):
             SolverConfig(**{setting: value})
+
+    def test_config_takes_numpy_integers(self):
+        assert SolverConfig(seed=np.int64(3), starts=np.int32(2)).starts == 2
 
     def test_one_scan_point_keeps_its_result(self):
         # frozen before the scan grid was built once per search
@@ -371,10 +381,9 @@ class TestInfConvolution:
         assert_last_part_is_numpy_remainder(x, a.parts)
 
     def test_es_level_outside_unit_interval_takes_no_shortcut(self):
-        # refused on evaluation, as before the exact route existed
-        fam = MeasureFamily([es_measure(1.5), worst_case_measure()], U2)
-        with pytest.raises(DomainError):
-            inf_convolution(fam, LossProfile(U2, [1.0, 2.0]))
+        # refused when built, so no such member reaches the exact route
+        with pytest.raises(DomainError, match="es level must lie in"):
+            es_measure(1.5)
 
     def test_gate_refuses_var_pair(self):
         fam = MeasureFamily([var_measure(0.5), var_measure(0.5)], U2)

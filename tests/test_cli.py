@@ -8,6 +8,7 @@ rather than silently reshuffling JSON.
 """
 
 import json
+import math
 import os
 import re
 import shutil
@@ -564,6 +565,32 @@ class TestInputErrors:
             capsys,
             ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
             "additive capacity needs 2 weights",
+        )
+
+    @pytest.mark.parametrize("entry, fragment", [
+        ({"kind": "entropic", "lambda": math.inf}, "entropic parameter must be finite"),
+        ({"kind": "lvar", "benchmark_steps": [[0, 0.5], [math.nan, 0.9]]},
+         "benchmark times must be finite"),
+        ({"kind": "shortfall", "utility_knots": [[-1, -3], [0, 0], [math.nan, 1]]},
+         "utility knots must be finite"),
+        ({"kind": "choquet", "members": ["v", "e"],
+          "capacity": {"additive": [math.nan, 1.0]}}, "weights must be finite"),
+        ({"kind": "choquet", "members": ["v", "e"],
+          "capacity": {"masks": {"0": 0, "1": math.nan, "2": 0.5, "3": 1}}},
+         "capacity values must lie in [0, 1]"),
+    ], ids=["lambda-infinity", "steps-nan", "knots-nan", "additive-nan", "masks-nan"])
+    def test_non_finite_spec_parameter(self, entry, fragment, tmp_path, capsys):
+        # JSON Infinity and NaN parse as floats; each used to exit 0
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": [
+            {"name": "v", "kind": "var", "beta": 0.5},
+            {"name": "e", "kind": "es", "beta": 0.5},
+            dict(entry, name="bad"),
+        ]}))
+        expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            fragment,
         )
 
     @pytest.mark.parametrize("command", ["axioms", "envelope", "infconv", "margin"])

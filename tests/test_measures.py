@@ -228,6 +228,10 @@ class TestLvar:
             LossBenchmark([(0.0, 0.8), (1.0, 0.5)])  # decreasing level
         with pytest.raises(DomainError):
             LossBenchmark([(0.0, 0.0)])  # level outside (0, 1]
+        with pytest.raises(DomainError, match="levels must lie in"):
+            LossBenchmark([(0.0, math.nan)])  # VaR at a NaN level is no number
+        with pytest.raises(DomainError, match="times must be finite"):
+            LossBenchmark([(0.0, 0.5), (math.nan, 0.9)])
 
     def test_sup_matches_dense_grid(self):
         bench = LossBenchmark([(0.0, 0.3), (0.7, 0.55), (2.0, 0.9)])
@@ -311,6 +315,8 @@ class TestUtilityStarCompatibility:
             Utility([(0.0, 0.0), (1.0, -1.0)])  # decreasing
         with pytest.raises(DomainError):
             Utility([(-1.0, -1.0), (1.0, 1.0)])  # no knot at 0
+        with pytest.raises(DomainError, match="knots must be finite"):
+            Utility([(-1.0, -3.0), (0.0, 0.0), (math.nan, 1.0)])
 
 
 class TestEntropic:
@@ -327,6 +333,8 @@ class TestEntropic:
     def test_domain(self):
         with pytest.raises(DomainError):
             entropic(UNIFORM4, 0.0)
+        with pytest.raises(DomainError, match="must be finite"):
+            entropic(UNIFORM4, math.inf)  # inf * log(1) would give NaN
 
     def test_no_overflow_on_large_losses(self):
         d = LossDistribution([(0.0, 0.5), (5000.0, 0.5)])
@@ -385,27 +393,57 @@ def outcome(call):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
+POSITIVE_LAMBDAS = st.integers(-12, 12).map(lambda e: 10.0 ** e)
+LAMBDAS = st.one_of(
+    st.sampled_from([0.0, -1.0, math.inf, -math.inf, math.nan]), POSITIVE_LAMBDAS)
+
+
+def refusal(call):
+    """The message of the DomainError ``call`` raises, or None."""
+    try:
+        call()
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(LEVELS, LAMBDAS)
+def test_factories_refuse_what_their_primitives_refuse(beta, lam):
+    rows = [[0.25, 0.75], [0.5, 0.5]]
+    laws = [distribution_of(LossProfile(StateSpace(w), [1.0, 2.0])) for w in rows]
+    d = laws[0]
+    for build, primitive in [
+        (lambda: var_measure(beta), lambda: var(d, beta)),
+        (lambda: es_measure(beta), lambda: es(d, beta)),
+        (lambda: entropic_measure(lam), lambda: entropic(d, lam)),
+        (lambda: max_var_measure(rows, beta), lambda: max_var(laws, beta)),
+        (lambda: med_var_measure(rows, beta), lambda: med_var(laws, beta)),
+    ]:
+        assert refusal(build) == refusal(primitive), (beta, lam)
+
+
 def kernel_cases(beta, lam):
+    """(evaluator, primitive) for every kernel-backed factory, leaving
+    out those that refuse ``beta`` or ``lam``."""
     bench = LossBenchmark([(0.0, 0.5), (0.5, 0.9), (2.0, 1.0)])
-    return [
-        (var_measure(beta), lambda d: var(d, beta)),
-        (es_measure(beta), lambda d: es(d, beta)),
+    cases = [
         (mean_measure(), mean),
         (worst_case_measure(), worst_case),
-        (entropic_measure(lam), lambda d: entropic(d, lam)),
         (lvar_measure(bench), lambda d: lvar(d, bench)),
     ]
+    for factory, primitive, param in ((var_measure, var, beta), (es_measure, es, beta),
+                                      (entropic_measure, entropic, lam)):
+        try:
+            rho = factory(param)
+        except DomainError:
+            continue
+        cases.append((rho, lambda d, f=primitive, a=param: f(d, a)))
+    return cases
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    small_profiles(),
-    LEVELS,
-    st.one_of(
-        st.sampled_from([0.0, -1.0]),
-        st.integers(-12, 12).map(lambda e: 10.0 ** e),
-    ),
-)
+@given(small_profiles(), LEVELS, POSITIVE_LAMBDAS)
 def test_kernels_match_array_primitives_bit_for_bit(x, beta, lam):
     d = distribution_of(x)
     for rho, primitive in kernel_cases(beta, lam):
@@ -467,23 +505,18 @@ def check_line_atoms(values, space, rnd, k=5):
 
 
 def line_members():
-    """(member, refused) for every kernel-backed factory, at a valid level
-    and at the invalid levels ``kernel_cases`` draws (VaR at level 1 is
-    valid), and for one member without a kernel; a refused member's every
-    point raises ``_score``'s DomainError."""
-    members = [(rho, False) for rho, _ in kernel_cases(0.5, 1.0)]
-    for beta in (0.0, 1.0, -0.5, 1.5):
-        members += [(var_measure(beta), beta != 1.0), (es_measure(beta), True)]
-    members += [(entropic_measure(lam), True) for lam in (0.0, -1.0)]
+    """Every kernel-backed factory at a valid level, VaR also at its edge
+    level 1, and one member without a kernel."""
     es5 = es_measure(0.5)
-    return members + [(RiskEvaluator("opaque_es", es5._fn, es5.claims), False)]
+    return [rho for rho, _ in kernel_cases(0.5, 1.0)] + [
+        var_measure(1.0), RiskEvaluator("opaque_es", es5._fn, es5.claims)]
 
 
 def check_evaluator_lines(values, space, rnd, k=6, lines=2):
     """Up to ``lines`` lines per member, each scored at ``k`` sampled
     points (all when None), shuffled, each twice: the second score at an
     insertion place comes from its cached step."""
-    for rho, refused in line_members():
+    for rho in line_members():
         for j in rnd.sample(range(space.n), min(lines, space.n)):
             line = rho._line(values, j, space)
             points = sample_points(values, j, rnd, k) * 2
@@ -492,7 +525,6 @@ def check_evaluator_lines(values, space, rnd, k=6, lines=2):
                 row = values[:j] + [t] + values[j + 1:]
                 got = outcome(lambda: line(t))
                 assert got == outcome(lambda: rho._score(row, space)), (rho.name, j, t)
-                assert got.startswith("DomainError") or not refused, (rho.name, j, t)
 
 
 @settings(max_examples=150, deadline=None)

@@ -256,3 +256,5 @@ def test_capacity_validation_and_lookup():
         Capacity(3, {0: 0.0, 1: 0.8, 2: 0.1, 3: 0.5, 4: 0.1, 5: 0.9, 6: 0.2, 7: 1.0})
     with pytest.raises(DomainError):
         Capacity(0, {})
+    with pytest.raises(DomainError, match="must lie in"):
+        Capacity(2, {0: 0.0, 1: math.nan, 2: 0.7, 3: 1.0})
