@@ -253,8 +253,11 @@ def normality_check(fam, samples=1000, seed=0):
     own weighting is dominated by every member on random probes, any
     split total is bounded below by that expectation of the target.
     Otherwise random zero-sum tuples are sampled and the first tuple with
-    a negative total is returned as a witness.
+    a negative total is returned as a witness.  ``samples`` must be at
+    least 1.
     """
+    if not samples >= 1:
+        raise DomainError("normality samples must be at least 1, got %r" % samples)
     rng = np.random.default_rng(seed)
     n = fam.space.n
     probs = fam.space.probs

@@ -408,12 +408,15 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     Passes scan the boxes box * 4**k (k = 0..12) at step * 4**k, one
     grid and one charge of gamma per box shared by every scenario still
     searching.  A scenario keeps its best pass and stops at the first
-    pass whose argmax is interior (then polished on a local grid at a
-    quarter of the step), whose value exceeds 1e6 (reported as +inf), or
-    that does not raise its value.  Scenario vectors must be nonnegative
-    but may sit outside the probability simplex; improper weightings are
-    exactly what exposes unbounded penalties on small spaces.
+    pass whose argmax is interior, whose value exceeds 1e6 (reported as
+    +inf), or that does not raise its value.  ``box`` and ``step`` must
+    be finite and positive.  Scenario vectors must be nonnegative but may
+    sit outside the probability simplex; improper weightings are exactly
+    what exposes unbounded penalties on small spaces.
     """
+    if not (0.0 < box < math.inf and 0.0 < step < math.inf):
+        raise DomainError("penalty box and step must be finite and positive, "
+                          "got box=%r, step=%r" % (box, step))
     scen = [np.asarray(q, dtype=float) for q in scenarios]
     for q in scen:
         if q.size != space.n or np.any(q < 0.0) or not np.all(np.isfinite(q)):
@@ -423,7 +426,7 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     best = [-math.inf] * len(scen)
     searching, k = range(len(scen)), 0
     while searching and k <= 12:  # the base box and up to 12 expansions
-        cur_box, cur_step = box * 4.0**k, step * 4.0**k
+        cur_box = box * 4.0**k
         points = _grid_points(space.n, cur_box, per_axis)
         charges = _grid_charges(gamma, space, points, per_axis)
         still = []
@@ -433,14 +436,10 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
                 continue  # the wider box found nothing better
             if value > _PENALTY_CAP:
                 best[i] = math.inf
-            elif np.max(np.abs(arg)) >= cur_box - 1e-12:
-                best[i] = value
+                continue
+            best[i] = value
+            if np.max(np.abs(arg)) >= cur_box - 1e-12:
                 still.append(i)  # argmax on the box edge: widen the box
-            else:  # interior argmax: polish on a local grid at a quarter step
-                local = _grid_points(space.n, cur_step, 9)
-                local = np.clip(arg + local, -cur_box, cur_box)
-                near = _grid_charges(gamma, space, local, 9)
-                best[i] = max(value, _conjugate(scen[i], local, near)[0])
         searching, k = still, k + 1
     if -math.inf in best:  # no row of the base grid gave a number
         raise DomainError("no finite conjugate value on the penalty grid")

@@ -136,7 +136,7 @@ def ssd_dominates(x, y):
     """
 
     levels = _merged_interior(x, y)
-    tails_x, tails_y = _es_table((x, y), levels)
+    tails_x, tails_y = _es_table(x, levels), _es_table(y, levels)
     slack = _slack(x, y)
     # G(0) is the mean; G(1) = 0 for both laws passes with any slack >= 0
     return mean(x) <= mean(y) + slack and all(
@@ -173,8 +173,9 @@ def es_envelope_eval(gens, x):
     x_mean, x_worst = mean(x), worst_case(x)
 
     def gap(y):
-        tails = _es_table((x, y), _merged_interior(x, y))
-        return max(x_mean - mean(y), x_worst - worst_case(y), *map(operator.sub, *tails))
+        levels = _merged_interior(x, y)
+        tails = map(operator.sub, _es_table(x, levels), _es_table(y, levels))
+        return max(x_mean - mean(y), x_worst - worst_case(y), *tails)
 
     return _envelope_min(gens, "es", "tail-average", gap)
 

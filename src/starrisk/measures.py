@@ -91,7 +91,9 @@ class RiskEvaluator:
     through ``fn``.  The split solver, the normality gate and the penalty
     grid hand their rows to ``_score`` as plain lists.  Along their
     coordinate lines only one entry moves, and ``_line`` scores it on a
-    law kept sorted for the whole line, through the line form.
+    law kept sorted for the whole line, through the line form: the kernel
+    itself on the line law's values with t's slot set, except for ES and
+    worst case, whose forms keep the kernel's terms per insertion place.
 
     The box level is the ES level of mean (0), ES and worst case (1).
     Their dual sets are boxes cut from the probability simplex, nested by
@@ -155,8 +157,8 @@ class RiskEvaluator:
 # Each primitive below takes a ``LossDistribution`` and checks its
 # parameters; the ``_*_atoms`` kernel next to it takes parameters its
 # factory has checked, then the same law as plain lists (values, probs,
-# cum), and returns the same float bit for bit.  Its ``_*_line`` form
-# scores a law with one moving atom t: see ``state_space._line_atoms``.
+# cum), and returns the same float bit for bit.  A line form scores it on
+# a law with one moving atom t: see "Line forms" below.
 
 def var(d, beta):
     """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1]."""
@@ -165,12 +167,8 @@ def var(d, beta):
 
 
 def _var_atoms(beta, values, probs, cum):
-    return values[_var_index(beta, cum)]
-
-
-def _var_index(beta, cum):
     # P(X > v_i) <= 1 - beta  <=>  cum_i >= beta.
-    return min(bisect_left(cum, beta - MASS_TOL), len(cum) - 1)
+    return values[min(bisect_left(cum, beta - MASS_TOL), len(cum) - 1)]
 
 
 def _check_var_level(beta):
@@ -189,7 +187,7 @@ def es(d, beta):
     levels = np.array([beta])
     (b,) = levels.tolist()
     _check_es_level(b)
-    full, (above,), (partial,) = _es_cells((d,), levels)
+    full, (above,), (partial,) = _es_cells(d, levels)
     return math.fsum(full[above:].tolist() + [partial]) / (1.0 - b)
 
 
@@ -213,25 +211,17 @@ def _check_es_level(beta):
         raise DomainError("es level must lie in (0, 1), got %r" % beta)
 
 
-def _es_cells(laws, levels):
-    """The terms of ES at each level of a float array, for laws stacked one
-    after another: every cell's ``value * width``; per law, then per
-    level, the stacked index of the first cell wholly above the level;
-    and the product of the cell below that one, which holds the level,
-    with its overlap of the level's tail."""
-    values = np.concatenate([d.values for d in laws])
-    lows = np.concatenate([a for d in laws for a in (_ZERO, d.cum[:-1])])
-    highs = np.minimum(np.concatenate([d.cum for d in laws]), 1.0)
-    full = values * np.maximum(highs - lows, 0.0)
-    above, start = [], 0
-    for d in laws:
-        stop = start + d.values.size
-        above.append(lows[start:stop].searchsorted(levels) + start)
-        start = stop
-    above = np.concatenate(above)
+def _es_cells(d, levels):
+    """The terms of ES of ``d`` at each level of a float array: every
+    cell's ``value * width``; per level, the index of the first cell
+    wholly above it; and the product of the cell below that one, which
+    holds the level, with its overlap of the level's tail."""
+    lows = np.concatenate((_ZERO, d.cum[:-1]))
+    highs = np.minimum(d.cum, 1.0)
+    full = d.values * np.maximum(highs - lows, 0.0)
+    above = lows.searchsorted(levels)
     cell = above - 1
-    partial = values[cell] * np.maximum(
-        (highs[cell].reshape(len(laws), -1) - levels).ravel(), 0.0)
+    partial = d.values[cell] * np.maximum(highs[cell] - levels, 0.0)
     return full, above, partial
 
 
@@ -242,59 +232,48 @@ def _es_levels(d, levels):
     """ES of ``d`` at each level of a float array; see ``_es_table``."""
     for b in levels.tolist():
         _check_es_level(b)
-    return _es_table((d,), levels)[0]
+    return _es_table(d, levels)
 
 
-def _es_table(laws, levels):
-    """ES of each law at each level of a float array in (0, 1), one list
-    per law; ``es`` is the one-level case, by one ``math.fsum``.
+def _es_table(d, levels):
+    """ES of ``d`` at each level of a float array in (0, 1), as a list;
+    ``es`` is the one-level case, by one ``math.fsum``.
 
     Each total is that of ``es``, the ``math.fsum`` of the products of the
     cells above the level and its partial product, bit for bit.  Every
-    term is a double, so an integer multiple of 2**lo, where lo is the
-    place of the lowest bit among them; the suffix totals of the cell
-    products are kept as exact Python ints, and each level's total, like
+    term is a finite double (a law's values are finite and each width is
+    at most 1), so an integer multiple of 2**lo, where lo is the place of
+    the lowest bit among them; the suffix totals of the cell products are
+    kept as exact Python ints, and each level's total, like
     ``math.fsum``'s, is its exact sum rounded once.  That costs O(n) for
     all levels, except for levels handed to ``math.fsum`` over their own
     tail, O(n) each: a level whose exact total is zero (``math.fsum``
-    gives its sign), and every level when some term is not finite, or
-    when the terms' ``np.frexp`` exponents (0 for a zero term) span more
-    than 970 - b or exceed 1022 - b, b the bit length of the number of
-    terms, where the scaled terms or a sum could overflow a float.
+    gives its sign), and every level when the terms' ``np.frexp``
+    exponents (0 for a zero term) span more than 970 - b or exceed
+    1022 - b, b the bit length of the number of terms, where the scaled
+    terms or a sum could overflow a float.
     """
-    full, above, partial = _es_cells(laws, levels)
+    full, above, partial = _es_cells(d, levels)
     terms = np.concatenate((full, partial))
     exps = np.frexp(terms)[1]
     lo = int(np.minimum.reduce(exps)) - 53
     hi = int(np.maximum.reduce(exps))
-    count, size = levels.size, full.size
-    # the stacked end of the law of each (law, level) entry
-    ends, stop = [], 0
-    for d in laws:
-        stop += d.values.size
-        ends += [stop] * count
-    # suffix[j]: exact total of the stacked cells from j up; all zero, so
-    # that every total goes to math.fsum, unless the terms convert
-    suffix, parts = [0] * (size + 1), [0] * len(ends)
+    size = full.size
+    # suffix[j]: exact total of the cells from j up; all zero, so that
+    # every total goes to math.fsum, unless the terms convert
+    suffix, parts = [0] * (size + 1), [0] * levels.size
     # every total stays below 2**(hi + spread), as a multiple of 2**lo
     # below 2**(hi - lo + spread)
     spread = terms.size.bit_length()
     if hi + spread <= 1022 and hi - lo + spread <= 1023:
-        try:
-            ints = list(map(int, np.ldexp(terms, -lo).tolist()))
-        except (OverflowError, ValueError):  # an infinite or NaN term
-            pass
-        else:
-            suffix = list(accumulate(reversed(ints[:size]), initial=0))[::-1]
-            parts = ints[size:]
-    above = above.tolist()
-    totals = [suffix[j] - suffix[e] + p for j, e, p in zip(above, ends, parts)]
-    out = [
-        (math.ldexp(t, lo) if t else math.fsum(full[j:e].tolist() + [p])) / (1.0 - b)
-        for t, j, e, p, b in zip(totals, above, ends, partial.tolist(),
-                                 levels.tolist() * len(laws))
-    ]
-    return [out[i * count:(i + 1) * count] for i in range(len(laws))]
+        ints = list(map(int, np.ldexp(terms, -lo).tolist()))
+        suffix = list(accumulate(reversed(ints[:size]), initial=0))[::-1]
+        parts = ints[size:]
+    out = []
+    for j, part, p, b in zip(above.tolist(), parts, partial.tolist(), levels.tolist()):
+        t = suffix[j] + part
+        out.append((math.ldexp(t, lo) if t else math.fsum(full[j:].tolist() + [p])) / (1.0 - b))
+    return out
 
 
 def mean(d):
@@ -622,29 +601,34 @@ def _lvar_atoms(bench, values, probs, cum):
 # Line forms
 # ---------------------------------------------------------------------------
 
-# A kernel's line form takes the kernel's parameters, then one insertion
-# place of a coordinate line (``state_space._line_atoms``): the sorted
-# fixed values ``vals``, and the probabilities and running totals of the
-# law with t inserted at index ``at``.  It returns step(t), the kernel's
-# float on that law bit for bit: the same terms, summed in the kernel's
-# order.
+# A line form takes one insertion place of a coordinate line
+# (``state_space._line_atoms``): the sorted fixed values ``vals``, and the
+# probabilities and running totals of the law with t inserted at index
+# ``at``.  It returns step(t), the kernel's float on that law bit for bit.
+# ``_kernel_line`` serves every kernel by calling it; ES and worst case,
+# the members of the split search and the penalty grid that a workload
+# runs, keep the kernel's terms once per place.
 
-def _pick_line(vals, at, i):
-    """Step of a kernel that returns the line law's value at index i."""
-    if i == at:
-        return lambda t: t
-    c = vals[i - 1 if i > at else i]
-    return lambda t: c
+def _kernel_line(kernel, vals, probs, cum, at):
+    """Step of ``kernel`` (parameters bound): the line law's values with
+    a slot at ``at`` that each point sets."""
+    values = vals[:at] + [0.0] + vals[at:]
+
+    def step(t):
+        values[at] = t
+        return kernel(values, probs, cum)
+
+    return step
 
 
-def _sum_line(vals, weights, at, scale):
-    """Step of ``math.fsum`` of value times weight over the line law,
-    divided by ``scale``: the fixed terms made once, t's put at index
-    ``at``.  The order is the kernel's, which an overflow can tell apart:
-    ``fsum([1e308, 1e308, -1e308])`` raises where ``[1e308, -1e308,
-    1e308]`` gives 1e308."""
-    terms = list(map(operator.mul, vals[:at] + [0.0] + vals[at:], weights))
-    w = weights[at]
+def _es_line(beta, vals, probs, cum, at):
+    """The kernel's terms, value times clipped width, made once with t's
+    put at index ``at``, then one ``math.fsum`` in the kernel's order,
+    which an overflow can tell apart: ``fsum([1e308, 1e308, -1e308])``
+    raises where ``[1e308, -1e308, 1e308]`` gives 1e308."""
+    widths = _es_widths(beta, cum)
+    terms = list(map(operator.mul, vals[:at] + [0.0] + vals[at:], widths))
+    w, scale = widths[at], 1.0 - beta
 
     def step(t):
         terms[at] = t * w
@@ -653,59 +637,11 @@ def _sum_line(vals, weights, at, scale):
     return step
 
 
-def _var_line(beta, vals, probs, cum, at):
-    return _pick_line(vals, at, _var_index(beta, cum))
-
-
-def _es_line(beta, vals, probs, cum, at):
-    return _sum_line(vals, _es_widths(beta, cum), at, 1.0 - beta)
-
-
-def _mean_line(vals, probs, cum, at):
-    # dividing by 1.0 keeps every float's bits
-    return _sum_line(vals, probs, at, 1.0)
-
-
 def _worst_case_line(vals, probs, cum, at):
-    return _pick_line(vals, at, len(cum) - 1)
-
-
-def _entropic_line(lam, vals, probs, cum, at):
     if at == len(vals):
-        # t is the largest atom and sets the shift: the whole kernel
-        return lambda t: _entropic_atoms(lam, vals + [t], probs, cum)
-    m = vals[-1]
-    terms = [p * math.exp((v - m) / lam)
-             for v, p in zip(vals[:at] + [m] + vals[at:], probs)]
-    p = probs[at]
-
-    def step(t):
-        terms[at] = p * math.exp((t - m) / lam)
-        return m + lam * math.log(math.fsum(terms))
-
-    return step
-
-
-def _lvar_line(bench, vals, probs, cum, at):
-    # per level, VaR less the level's time: fixed, or t's slot to fill
-    diffs, moving = [], []
-    for time, a in zip(bench.times.tolist(), bench.levels.tolist()):
-        i = _var_index(a, cum)
-        if i == at:
-            moving.append((len(diffs), time))
-            diffs.append(0.0)
-        else:
-            diffs.append(vals[i - 1 if i > at else i] - time)
-    if not moving:
-        c = max(diffs)
-        return lambda t: c
-
-    def step(t):
-        for k, time in moving:
-            diffs[k] = t - time
-        return max(diffs)
-
-    return step
+        return lambda t: t
+    c = vals[-1]
+    return lambda t: c
 
 
 # ---------------------------------------------------------------------------
@@ -722,46 +658,48 @@ _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive",
 _Law = namedtuple("_Law", "score line level")
 
 
-def _law_measure(name, claims, primitive, kernel, line, *params, level=None):
+def _law_measure(name, claims, primitive, kernel, *params, line=None, level=None):
     """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
     small profiles by ``kernel(*params, values, probs, cum)``, for
-    parameters the caller has checked."""
+    parameters the caller has checked; ``line`` is the kernel's own line
+    form, if it has one."""
     rho = RiskEvaluator(
         name, lambda x: primitive(distribution_of(x), *params), claims
     )
-    rho._law = _Law(partial(kernel, *params), partial(line, *params), level)
+    score = partial(kernel, *params)
+    line = partial(_kernel_line, score) if line is None else partial(line, *params)
+    rho._law = _Law(score, line, level)
     return rho
 
 
 def var_measure(beta):
     _check_var_level(beta)
     claims = _MONETARY + ("positively_homogeneous", "star_shaped", "law_invariant")
-    return _law_measure("var[%g]" % beta, claims, var, _var_atoms, _var_line, beta)
+    return _law_measure("var[%g]" % beta, claims, var, _var_atoms, beta)
 
 
 def es_measure(beta):
     _check_es_level(beta)
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, _es_line, beta,
+    return _law_measure("es[%g]" % beta, claims, es, _es_atoms, beta, line=_es_line,
                         level=beta)
 
 
 def mean_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
-    return _law_measure("mean", claims, mean, _mean_atoms, _mean_line, level=0.0)
+    return _law_measure("mean", claims, mean, _mean_atoms, level=0.0)
 
 
 def worst_case_measure():
     claims = _COHERENT + ("law_invariant", "ssd_consistent")
     return _law_measure("worst_case", claims, worst_case, _worst_case_atoms,
-                        _worst_case_line, level=1.0)
+                        line=_worst_case_line, level=1.0)
 
 
 def entropic_measure(lam):
     _check_entropic_parameter(lam)
     claims = _MONETARY + ("star_shaped", "convex", "law_invariant", "ssd_consistent")
-    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms,
-                        _entropic_line, lam)
+    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms, lam)
 
 
 def shortfall_measure(u):
@@ -778,7 +716,7 @@ def shortfall_measure(u):
 
 def lvar_measure(bench):
     claims = _MONETARY + ("star_shaped", "law_invariant")
-    return _law_measure("lvar", claims, lvar, _lvar_atoms, _lvar_line, bench)
+    return _law_measure("lvar", claims, lvar, _lvar_atoms, bench)
 
 
 def _scenario_var_measure(label, pick, weight_rows, beta):

@@ -193,6 +193,16 @@ class TestChoquet:
 
 
 class TestNormality:
+    @pytest.mark.parametrize("samples", [0, -5, 0.5])
+    def test_samples_below_one_are_refused(self, samples):
+        # the gate refuses this pair at 300 samples; with none it would
+        # pass it unchecked
+        fam = MeasureFamily([var_measure(0.5), var_measure(0.5)], U2)
+        assert not normality_check(fam, samples=300, seed=0).passed
+        with pytest.raises(DomainError,
+                           match="normality samples must be at least 1, got %r" % samples):
+            normality_check(fam, samples=samples, seed=0)
+
     def test_two_es_certified(self):
         fam = MeasureFamily([es_measure(0.5), es_measure(0.75)], U3)
         report = normality_check(fam, samples=10, seed=0)

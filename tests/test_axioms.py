@@ -14,6 +14,7 @@ from starrisk.measures import (
     es,
     es_measure,
     lvar_measure,
+    max_var_measure,
     mean_measure,
     shortfall_measure,
     utility_is_star_compatible,
@@ -305,3 +306,11 @@ def test_report_serialization():
     d = report.to_dict()
     assert d["property"] == "monotone"
     assert "witness" not in d
+
+
+def test_pinned_evaluator_needs_a_probe_of_its_size():
+    rho = max_var_measure([[0.5, 0.5]], 0.5)
+    probes = default_probe_set(seed=1, count=4, sizes=(3,))
+    with pytest.raises(DomainError,
+                       match="no probe matches the evaluator's required state count"):
+        check_axiom(rho, "monotone", probes)

@@ -186,6 +186,19 @@ class TestFrozenValues:
         assert row["total"] == pytest.approx(3.5, abs=1e-9)
         assert rep["admissible"] == [[0], [1], [0, 1]]
 
+    def test_margin_without_admissible_uses_singletons(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"measures": [
+            {"name": "e", "kind": "es", "beta": 0.5},
+            {"name": "w", "kind": "worst_case"},
+        ]}))
+        _, rep = report(tmp_path, ["margin", "--input", str(DATA / "book.csv"),
+                                   "--spec", str(spec), "--seed", "5"])
+        assert rep["admissible"] == [[0], [1]]
+        row = rep["results"]["book"]
+        assert row["subset"] == [0]
+        assert row["total"] == pytest.approx(3.5, abs=1e-9)
+
     def test_axioms_matrix(self, tmp_path):
         argv = data_argv("axioms", None, "star_check.json", "--seed", "7")
         code, rep = report(tmp_path, argv)
@@ -643,6 +656,22 @@ class TestInputErrors:
             ["aggregate", "--input", str(DATA / "book.csv"),
              "--spec", str(DATA / "basic.json")],
             "no aggregate measures",
+        )
+
+    @pytest.mark.parametrize("entry, fragment", [
+        ({"name": "c", "kind": "choquet", "members": "v", "capacity": "sup"},
+         "measure 'c': 'members' must be a nonempty list"),
+        ({"kind": "var", "beta": 0.5}, "every measure needs a nonempty string 'name'"),
+    ], ids=["members-not-a-list", "no-name"])
+    def test_malformed_spec_entry(self, entry, fragment, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": [
+            {"name": "v", "kind": "var", "beta": 0.5}, entry,
+        ]}))
+        expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            fragment,
         )
 
 

@@ -547,3 +547,18 @@ class TestPenalty:
             penalty_of(mean_measure(), U2, [(-0.1, 1.1)])
         with pytest.raises(DomainError):
             penalty_of(mean_measure(), U2, [(0.5, 0.25, 0.25)])
+
+    @pytest.mark.parametrize("grid", [
+        {"step": 0.0}, {"step": -0.25}, {"step": math.nan}, {"step": math.inf},
+        {"box": -1.0}, {"box": 0.0}, {"box": math.inf}, {"box": math.nan},
+    ], ids=["step-zero", "step-negative", "step-nan", "step-inf",
+            "box-negative", "box-zero", "box-inf", "box-nan"])
+    def test_grid_must_be_finite_and_positive(self, grid):
+        with pytest.raises(DomainError,
+                           match="penalty box and step must be finite and positive"):
+            penalty_of(mean_measure(), U2, [(0.5, 0.5)], **grid)
+
+
+def test_representation_check_needs_a_pair():
+    with pytest.raises(DomainError, match=r"need at least one \(measure, family\) pair"):
+        aggregate_representation_check([], "inf", default_probe_set(seed=1, count=4))

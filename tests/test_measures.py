@@ -747,3 +747,18 @@ def test_shortfall_replays_the_bisection_at_large_n(n, scale):
         if n == 1024:
             same_shortfall(d, CONCAVE_KNOTS)
             same_shortfall(d, INCOMPATIBLE_KNOTS)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Utility([(0.0, 0.0)]), "utility needs at least two knots"),
+    (lambda: Utility([(1.0, 1.0), (0.0, 0.0)]),
+     "utility knot abscissae must be strictly increasing"),
+    (lambda: LossBenchmark([]), "benchmark needs at least one step"),
+    (lambda: LossBenchmark([(0.0, 0.5), (0.0, 0.75)]),
+     "benchmark times must be strictly increasing"),
+    (lambda: max_var_measure([[0.5, 0.5], [0.2, 0.3, 0.5]], 0.5),
+     "scenario weight vectors must share one length"),
+], ids=["one-knot", "knots-decreasing", "no-steps", "times-repeated", "ragged-rows"])
+def test_parameter_objects_refuse_bad_input(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()

@@ -258,3 +258,22 @@ def test_capacity_validation_and_lookup():
         Capacity(0, {})
     with pytest.raises(DomainError, match="must lie in"):
         Capacity(2, {0: 0.0, 1: math.nan, 2: 0.7, 3: 1.0})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StateSpace([[0.5, 0.5]]), "probs must be a nonempty 1-d sequence"),
+    (lambda: StateSpace([0.5, math.nan]), "probs must be finite"),
+    (lambda: StateSpace([math.inf, 0.5]), "probs must be finite"),
+    (lambda: StateSpace.uniform(0), "need at least one state"),
+    (lambda: Capacity(2, [0.0, 0.5, 1.0]), "capacity needs a value for each of 4 subsets, got 3"),
+    (lambda: Capacity(1, [0.5, 1.0]), "capacity of the empty set must be 0"),
+], ids=["two-d", "nan-weight", "infinite-weight", "no-states", "capacity-length",
+        "capacity-empty-set"])
+def test_spaces_and_capacities_refuse_bad_input(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_profile_needs_a_state_space():
+    with pytest.raises(TypeError, match="space must be a StateSpace"):
+        LossProfile([0.5, 0.5], [1.0, 2.0])
