@@ -409,14 +409,23 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     grid and one charge of gamma per box shared by every scenario still
     searching.  A scenario keeps its best pass and stops at the first
     pass whose argmax is interior, whose value exceeds 1e6 (reported as
-    +inf), or that does not raise its value.  ``box`` and ``step`` must
-    be finite and positive.  Scenario vectors must be nonnegative but may
-    sit outside the probability simplex; improper weightings are exactly
-    what exposes unbounded penalties on small spaces.
+    +inf), or that does not raise its value.  For a cash-invariant gamma
+    the first argmax in row order sits on the box edge: with sum(q) = 1
+    the grid's maximizers run along (1, ..., 1) out to the edge, and
+    otherwise the sup is unbounded.  For any other gamma an interior
+    argmax is real, and its entry keeps that pass's grid value, a lower
+    bound on the conjugate that no local refinement tightens.
+
+    ``box``, ``step`` and ``2 * box / step`` must be finite and positive.
+    Scenario vectors must be nonnegative but may sit outside the
+    probability simplex; improper weightings are exactly what exposes
+    unbounded penalties on small spaces.
     """
-    if not (0.0 < box < math.inf and 0.0 < step < math.inf):
+    if not (0.0 < box < math.inf and 0.0 < step < math.inf
+            and 2 * box / step < math.inf):
         raise DomainError("penalty box and step must be finite and positive, "
-                          "got box=%r, step=%r" % (box, step))
+                          "with 2 * box / step finite, got box=%r, step=%r"
+                          % (box, step))
     scen = [np.asarray(q, dtype=float) for q in scenarios]
     for q in scen:
         if q.size != space.n or np.any(q < 0.0) or not np.all(np.isfinite(q)):

@@ -92,8 +92,9 @@ class RiskEvaluator:
     grid hand their rows to ``_score`` as plain lists.  Along their
     coordinate lines only one entry moves, and ``_line`` scores it on a
     law kept sorted for the whole line, through the line form: the kernel
-    itself on the line law's values with t's slot set, except for ES and
-    worst case, whose forms keep the kernel's terms per insertion place.
+    itself on the line law's values with t's slot set, except for ES,
+    entropic and worst case, whose forms keep the kernel's terms per
+    insertion place.
 
     The box level is the ES level of mean (0), ES and worst case (1).
     Their dual sets are boxes cut from the probability simplex, nested by
@@ -129,10 +130,11 @@ class RiskEvaluator:
     def _line(self, values, j, space):
         """``_score`` of the float list ``values`` with entry ``j`` set to t,
         as a function of t, bit for bit.  With a kernel and n <= 64 the
-        line's law (``_line_atoms``) is scored by the kernel's line form:
-        it runs once per insertion place of t, and each point there costs
-        one O(1) step.  Otherwise each point is ``_score`` of a copy of the
-        row."""
+        line's law (``_line_atoms``) is scored by the kernel's line form,
+        which runs once per insertion place of t.  Each later point there
+        costs one fsum of the kept terms for ES and entropic, a constant
+        for worst case, and one kernel call for the others.  Otherwise
+        each point is ``_score`` of a copy of the row."""
         law = self._law
         if law is not None and space.n <= _PAIR_BUILD_MAX:
             return _line_atoms(values, j, space, law.line, law.score)
@@ -605,9 +607,10 @@ def _lvar_atoms(bench, values, probs, cum):
 # (``state_space._line_atoms``): the sorted fixed values ``vals``, and the
 # probabilities and running totals of the law with t inserted at index
 # ``at``.  It returns step(t), the kernel's float on that law bit for bit.
-# ``_kernel_line`` serves every kernel by calling it; ES and worst case,
-# the members of the split search and the penalty grid that a workload
-# runs, keep the kernel's terms once per place.
+# ``_kernel_line`` serves every kernel by calling it.  ES, entropic and
+# worst case keep the kernel's terms once per place, so that a later
+# point there makes only t's term: the split search runs them for ES with
+# worst case and for entropic pairs, and the penalty grid for ES.
 
 def _kernel_line(kernel, vals, probs, cum, at):
     """Step of ``kernel`` (parameters bound): the line law's values with
@@ -633,6 +636,22 @@ def _es_line(beta, vals, probs, cum, at):
     def step(t):
         terms[at] = t * w
         return math.fsum(terms) / scale
+
+    return step
+
+
+def _entropic_line(lam, vals, probs, cum, at):
+    if at == len(vals):
+        # t is the largest atom and sets the shift: the whole kernel
+        return lambda t: _entropic_atoms(lam, vals + [t], probs, cum)
+    m = vals[-1]
+    terms = [p * math.exp((v - m) / lam)
+             for v, p in zip(vals[:at] + [m] + vals[at:], probs)]
+    p = probs[at]
+
+    def step(t):
+        terms[at] = p * math.exp((t - m) / lam)
+        return m + lam * math.log(math.fsum(terms))
 
     return step
 
@@ -699,7 +718,8 @@ def worst_case_measure():
 def entropic_measure(lam):
     _check_entropic_parameter(lam)
     claims = _MONETARY + ("star_shaped", "convex", "law_invariant", "ssd_consistent")
-    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms, lam)
+    return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms, lam,
+                        line=_entropic_line)
 
 
 def shortfall_measure(u):

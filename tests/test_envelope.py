@@ -551,8 +551,9 @@ class TestPenalty:
     @pytest.mark.parametrize("grid", [
         {"step": 0.0}, {"step": -0.25}, {"step": math.nan}, {"step": math.inf},
         {"box": -1.0}, {"box": 0.0}, {"box": math.inf}, {"box": math.nan},
+        {"box": 1e300, "step": 1e-300},
     ], ids=["step-zero", "step-negative", "step-nan", "step-inf",
-            "box-negative", "box-zero", "box-inf", "box-nan"])
+            "box-negative", "box-zero", "box-inf", "box-nan", "span-overflow"])
     def test_grid_must_be_finite_and_positive(self, grid):
         with pytest.raises(DomainError,
                            match="penalty box and step must be finite and positive"):
