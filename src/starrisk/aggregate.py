@@ -103,8 +103,8 @@ class SplitSolution:
     the others are zero).  ``meta`` records solver provenance; attainment
     of the infimum is not decidable numerically, so a search reports it
     as "unknown" rather than claimed.  It is "exact" for a single member,
-    whose charge of the whole target is the infimum, and on the box route
-    of ``inf_convolution``.
+    whose charge of the whole target is the infimum, and on the exact
+    routes of ``inf_convolution``.
     """
 
     parts: tuple
@@ -358,46 +358,57 @@ def _direction_polish(objective, theta, value, lo, hi, rng, config):
     return theta, value
 
 
-def _smallest_box(fam):
-    """Index of the member with the smallest dual set when every member's
-    law record has a box level (``mean_measure``, ``es_measure``,
-    ``worst_case_measure``), else None.
+def _exact_split(fam):
+    """The exact split of ``fam``, a function of the target that returns
+    (parts, total), or None.  P lies in every dual set it serves.
 
-    Their dual sets are the probability simplex cut by q <= p / (1 - level)
-    (no cut at level 1), nested by level: {P} (mean, level 0) lies inside
-    every ES box, and every box inside the simplex (worst case).  The
-    first member at the lowest level is returned.
+    Mean, ES and worst-case members have boxes as dual sets, the simplex
+    cut by q <= p / (1 - level) (no cut at level 1), nested by level: the
+    first member at the lowest level takes the target and charges the
+    total, and the others take zero.  Two or more entropic members share
+    as entropic at L = sum lam: member i takes (lam_i / L) x, the last
+    the target less numpy's axis-0 sum of the others, and the total is
+    their charge of their parts.
     """
     levels = [None if rho._law is None else rho._law.level for rho in fam.members]
-    if None in levels:
+    if None not in levels:
+        w = levels.index(min(levels))
+
+        def box_split(x):
+            zero = LossProfile(x.space, np.zeros(x.space.n), _validate=False)
+            return tuple(x if i == w else zero for i in range(fam.size)), fam.members[w](x)
+
+        return box_split
+    lams = [None if rho._law is None else rho._law.lam for rho in fam.members]
+    if None in lams or fam.size < 2:
         return None
-    return levels.index(min(levels))
+    whole = math.fsum(lams)
+
+    def entropic_split(x):
+        free = [lam / whole * x.values for lam in lams[:-1]]
+        rows = free + [x.values - np.sum(free, axis=0)]
+        parts = tuple(LossProfile(x.space, v, _validate=False) for v in rows)
+        return parts, math.fsum(rho(z) for rho, z in zip(fam.members, parts))
+
+    return entropic_split
 
 
 def inf_convolution(fam, x, config=None, assume_normal=False):
     """Cheapest split of ``x`` among the family members.
 
-    When every member comes from ``mean_measure``, ``es_measure`` or
-    ``worst_case_measure`` the split is exact.  The penalty of an
-    inf-convolution is the sum of the members' penalties, so for coherent
-    members its dual set is the intersection of theirs; these dual sets
-    are nested, so that is the smallest one (``_smallest_box``).  That
-    member takes the whole target and every other member takes zero,
-    which a normalized member charges 0; the total is the winner's charge
-    of ``x``.  P lies in every such dual set, so no normality gate runs.
-
-    Any other family goes to the split search, ``_search_split``, which
-    refuses to run when the normality gate fails, unless ``assume_normal``
-    is set.
+    The penalty of an inf-convolution is the sum of the members'
+    penalties, for a family of mean, ES and worst-case members, or of two
+    or more entropic members, again a box or lam * KL: the split is exact
+    (``_exact_split``), with no normality gate.  Other families go to the
+    split search, ``_search_split``, which refuses to run when the
+    normality gate fails, unless ``assume_normal`` is set.
     """
-    w = _smallest_box(fam)
-    if w is None:
+    split = _exact_split(fam)
+    if split is None:
         return _search_split(fam, x, config, assume_normal)
     fam._check(x)
-    zero = LossProfile(x.space, np.zeros(x.space.n), _validate=False)
-    parts = tuple(x if i == w else zero for i in range(fam.size))
-    meta = {"attainment": "exact", "converged": True}
-    return SplitSolution(parts, fam.members[w](x), meta)
+    parts, total = split(x)
+    return SplitSolution(parts, total, {"attainment": "exact", "converged": True})
 
 
 def _search_split(fam, x, config=None, assume_normal=False):
@@ -552,10 +563,10 @@ def ecb_blend(fam, weight, x):
 
 
 def _gate(fam, config):
-    """Raise unless the normality gate passes for ``fam``.  A family of
-    mean, ES and worst-case members passes at once: P lies in each of
-    their dual sets, so every split total is at least E_P of the target."""
-    if _smallest_box(fam) is not None:
+    """Raise unless the normality gate passes for ``fam``.  A family with
+    an exact split rule passes at once: P lies in each member's dual set,
+    so every split total is at least E_P of the target."""
+    if _exact_split(fam) is not None:
         return
     config = config or SolverConfig()
     report = normality_check(fam, _NORMALITY_SAMPLES, config.seed)

@@ -124,7 +124,7 @@ def _parse_float(cell, row, column):
 def load_scenarios(path):
     """CSV to (StateSpace, ordered {name: LossProfile})."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = csv.reader(fh)
             first = next(rows, None)
             if first is None:
@@ -147,15 +147,15 @@ def load_scenarios(path):
                         "row %d has %d fields, expected %d" % (r, len(row), len(header))
                     )
                 body.append(row)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError, csv.Error) as err:
         raise CliInputError("cannot read %s: %s" % (path, err)) from None
     if not body:
         raise CliInputError("%s has a header but no scenario rows" % path)
     try:
         probs, *losses = [list(map(float, cells)) for cells in list(zip(*body))[1:]]
     except ValueError:
+        # float refused a cell, so _check_cells raises, naming the first one
         _check_cells(body, names)
-        raise
     space = StateSpace(probs)  # validates mass and positivity
     profiles = {n: LossProfile(space, v) for n, v in zip(names, losses)}
     return space, profiles
@@ -172,9 +172,9 @@ def _check_cells(body, names):
 
 def load_spec(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CliInputError("cannot read %s: %s" % (path, err)) from None
     except json.JSONDecodeError as err:
         raise CliInputError("%s is not valid JSON: %s" % (path, err)) from None

@@ -6,8 +6,8 @@ cone (a cone through Y - rho(Y) in the homogeneous case).  The measure
 itself is recovered as the pointwise minimum of these envelope members,
 tight at the generating position.  The same machinery realizes the
 representation formulas for averages, extrema, and inf-convolutions of
-families, and the grid conjugate recovers penalty functions of convex
-members on finite spaces.
+families, and closed forms or a grid conjugate recover penalty functions
+of convex members on finite spaces.
 """
 
 import math
@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .state_space import DimensionError, DomainError, LossProfile
+from .state_space import MASS_TOL, DimensionError, DomainError, LossProfile
 from .axioms import _PROBE_BOUND, _first_violation, _usable, check_axiom
 from .measures import _MONETARY, RiskEvaluator
 from .aggregate import SolverConfig, MeasureFamily, inf_convolution
@@ -36,8 +36,10 @@ __all__ = [
 _RESIDUAL_TOL = 1e-8
 # split solver settings of the infconv representation check
 _INFCONV_CHECK_CONFIG = SolverConfig(starts=6, scan_points=9)
-# penalty_of reports a conjugate that exceeds this as +inf
+# penalty_of reports a conjugate that exceeds this as +inf, and refuses a
+# grid with more rows per pass than this
 _PENALTY_CAP = 1e6
+_GRID_ROWS_MAX = 2**24
 
 
 class EnvelopeMember:
@@ -342,8 +344,9 @@ _AGGREGATE_CASES = {
 class PenaltyTable:
     """Grid conjugates of a convex measure over scenario weightings.
 
-    ``alpha`` entries are nonnegative, possibly +inf.  A finite entry is
-    the best grid value found, so it is a lower bound of the conjugate.
+    ``alpha`` entries are nonnegative up to rounding, possibly +inf.  A
+    closed-form entry is the conjugate itself; a finite grid entry is the
+    best grid value found, so it is a lower bound of the conjugate.
     Groundedness (the finite minimum sitting at 0) is asserted at
     construction, so tables are only built from scenario lists that
     reach the measure's dual set.
@@ -380,18 +383,6 @@ def _grid_points(n, box, per_axis):
     return np.stack(axes, -1).reshape(-1, n)
 
 
-def _grid_charges(gamma, space, points, per_axis):
-    """gamma's charge of every row of a grid whose rows run the last axis
-    fastest: each block of ``per_axis`` rows is one line of the last
-    coordinate, scored by ``RiskEvaluator._line``."""
-    rows, j = points.tolist(), space.n - 1
-    charges = []
-    for b in range(0, len(rows), per_axis):
-        line = gamma._line(rows[b], j, space)
-        charges += [line(row[j]) for row in rows[b:b + per_axis]]
-    return charges
-
-
 def _conjugate(q, points, charges):
     """Largest E_Q[X] - charge(X) over the rows X, and the first X at it."""
     best, arg = -math.inf, None
@@ -402,19 +393,36 @@ def _conjugate(q, points, charges):
     return best, arg
 
 
-def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
-    """Conjugate sup_X (E_Q[X] - gamma(X)) per scenario, by grid search.
+def _dual_penalty(law, p, q):
+    """alpha(Q) of a box level or entropic lam, for float lists p and q."""
+    if abs(math.fsum(q) - 1.0) > MASS_TOL:
+        return math.inf
+    if law.lam is not None:
+        return law.lam * math.fsum([a * math.log(a / b) for a, b in zip(q, p) if a > 0.0])
+    if law.level < 1.0 and any(a > b / (1.0 - law.level) + MASS_TOL for a, b in zip(q, p)):
+        return math.inf
+    return 0.0
 
-    Passes scan the boxes box * 4**k (k = 0..12) at step * 4**k, one
-    grid and one charge of gamma per box shared by every scenario still
-    searching.  A scenario keeps its best pass and stops at the first
-    pass whose argmax is interior, whose value exceeds 1e6 (reported as
-    +inf), or that does not raise its value.  For a cash-invariant gamma
-    the first argmax in row order sits on the box edge: with sum(q) = 1
-    the grid's maximizers run along (1, ..., 1) out to the edge, and
-    otherwise the sup is unbounded.  For any other gamma an interior
-    argmax is real, and its entry keeps that pass's grid value, a lower
-    bound on the conjugate that no local refinement tightens.
+
+def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
+    """Conjugate alpha(Q) = sup_X (E_Q[X] - gamma(X)) per scenario Q.
+
+    A gamma whose law record has a box level b (mean, ES, worst case) or
+    an entropic parameter lam is priced in closed form, with no grid:
+    alpha is +inf unless sum(q) is 1 within ``MASS_TOL``; b gives 0 when
+    every q <= p / (1 - b) + ``MASS_TOL`` (no cut at b = 1), else +inf;
+    lam gives lam * sum q log(q / p), with 0 log 0 = 0.
+
+    Any other gamma is searched on grids of at most 2**24 rows each.
+    Passes scan the boxes box * 4**k (k = 0..12) at step * 4**k, each
+    row charged once by ``RiskEvaluator._score`` for every scenario still
+    searching.  A scenario keeps its best pass and stops at the first pass
+    whose argmax is interior, whose value exceeds 1e6 (reported as +inf),
+    or that does not raise its value.  For a cash-invariant gamma the
+    first argmax in row order sits on the box edge: with sum(q) = 1 the
+    grid's maximizers run along (1, ..., 1) out to the edge, and otherwise
+    the sup is unbounded.  For any other gamma an interior argmax is real,
+    and its entry keeps that pass's grid value, a lower bound.
 
     ``box``, ``step`` and ``2 * box / step`` must be finite and positive.
     Scenario vectors must be nonnegative but may sit outside the
@@ -430,14 +438,23 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     for q in scen:
         if q.size != space.n or np.any(q < 0.0) or not np.all(np.isfinite(q)):
             raise DomainError("scenario weights must be nonnegative, one per state")
+    meta = {"box": box, "step": step, "cap": _PENALTY_CAP}
+    law = gamma._law
+    if law is not None and (law.level is not None or law.lam is not None):
+        alpha = [_dual_penalty(law, space._plain_probs(), q.tolist()) for q in scen]
+        return PenaltyTable(space, tuple(scen), np.array(alpha), meta)
     per_axis = int(round(2 * box / step)) + 1
+    # per_axis >= 2 reaches the cap by the 25th power, and 1 never does
+    if per_axis ** min(space.n, 25) > _GRID_ROWS_MAX:
+        raise DomainError("penalty grid of %d**%d rows exceeds %d"
+                          % (per_axis, space.n, _GRID_ROWS_MAX))
 
     best = [-math.inf] * len(scen)
     searching, k = range(len(scen)), 0
     while searching and k <= 12:  # the base box and up to 12 expansions
         cur_box = box * 4.0**k
         points = _grid_points(space.n, cur_box, per_axis)
-        charges = _grid_charges(gamma, space, points, per_axis)
+        charges = [gamma._score(row, space) for row in points.tolist()]
         still = []
         for i in searching:
             value, arg = _conjugate(scen[i], points, charges)
@@ -453,5 +470,4 @@ def penalty_of(gamma, space, scenarios, box=8.0, step=0.25):
     if -math.inf in best:  # no row of the base grid gave a number
         raise DomainError("no finite conjugate value on the penalty grid")
     alpha = np.array([max(b, 0.0) for b in best])
-    meta = {"box": box, "step": step, "cap": _PENALTY_CAP}
     return PenaltyTable(space, tuple(scen), alpha, meta)

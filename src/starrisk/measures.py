@@ -84,21 +84,23 @@ class RiskEvaluator:
     The law-invariant factories (VaR, ES, mean, worst case, entropic and
     LVaR) refuse bad parameters when called, with the primitive's
     ``DomainError``, and give their evaluator one record, ``_law``: a
-    kernel of the law's sorted atoms as plain lists and its line form,
-    both with the parameters bound, and a box level.  Profiles of up to
-    64 states are scored by the kernel, which skips numpy's per-call
-    overhead and returns the same float bit for bit; larger profiles go
-    through ``fn``.  The split solver, the normality gate and the penalty
-    grid hand their rows to ``_score`` as plain lists.  Along their
-    coordinate lines only one entry moves, and ``_line`` scores it on a
-    law kept sorted for the whole line, through the line form: the kernel
-    itself on the line law's values with t's slot set, except for ES,
-    entropic and worst case, whose forms keep the kernel's terms per
-    insertion place.
+    kernel of the law's sorted atoms as plain lists, with the parameters
+    bound, and for ES and worst case its line form; and the dual fields,
+    a box level or an entropic parameter.  Profiles of up to 64 states
+    are scored by the kernel, which skips numpy's per-call overhead and
+    returns the same float bit for bit; larger profiles go through
+    ``fn``.  The split solver, the normality gate and the penalty grid
+    hand their rows to ``_score`` as plain lists.  Along the split
+    search's coordinate lines only one entry moves, and ``_line`` scores
+    the ES and worst-case lines on a law kept sorted for the whole line,
+    through the line form, which keeps the kernel's terms per insertion
+    place.
 
     The box level is the ES level of mean (0), ES and worst case (1).
     Their dual sets are boxes cut from the probability simplex, nested by
-    level, which ``aggregate.inf_convolution`` uses to split exactly.
+    level.  The entropic parameter lam prices Q by lam * KL(Q || P).
+    ``aggregate.inf_convolution`` splits such families exactly, and
+    ``envelope.penalty_of`` prices their dual sets in closed form.
     """
 
     __slots__ = ("name", "_fn", "claims", "required_n", "_law")
@@ -129,14 +131,13 @@ class RiskEvaluator:
 
     def _line(self, values, j, space):
         """``_score`` of the float list ``values`` with entry ``j`` set to t,
-        as a function of t, bit for bit.  With a kernel and n <= 64 the
-        line's law (``_line_atoms``) is scored by the kernel's line form,
-        which runs once per insertion place of t.  Each later point there
-        costs one fsum of the kept terms for ES and entropic, a constant
-        for worst case, and one kernel call for the others.  Otherwise
+        as a function of t, bit for bit.  With a line form and n <= 64 the
+        line's law (``_line_atoms``) is scored by the form, which runs once
+        per insertion place of t; each later point there costs one fsum of
+        the kept terms for ES and a constant for worst case.  Otherwise
         each point is ``_score`` of a copy of the row."""
         law = self._law
-        if law is not None and space.n <= _PAIR_BUILD_MAX:
+        if law is not None and law.line is not None and space.n <= _PAIR_BUILD_MAX:
             return _line_atoms(values, j, space, law.line, law.score)
         row = list(values)
 
@@ -607,22 +608,9 @@ def _lvar_atoms(bench, values, probs, cum):
 # (``state_space._line_atoms``): the sorted fixed values ``vals``, and the
 # probabilities and running totals of the law with t inserted at index
 # ``at``.  It returns step(t), the kernel's float on that law bit for bit.
-# ``_kernel_line`` serves every kernel by calling it.  ES, entropic and
-# worst case keep the kernel's terms once per place, so that a later
-# point there makes only t's term: the split search runs them for ES with
-# worst case and for entropic pairs, and the penalty grid for ES.
-
-def _kernel_line(kernel, vals, probs, cum, at):
-    """Step of ``kernel`` (parameters bound): the line law's values with
-    a slot at ``at`` that each point sets."""
-    values = vals[:at] + [0.0] + vals[at:]
-
-    def step(t):
-        values[at] = t
-        return kernel(values, probs, cum)
-
-    return step
-
+# ES and worst case keep the kernel's terms once per place, so that a
+# later point there makes only t's term; the ``infconv`` report's search
+# runs them.  Every other kernel scores each line point on the whole row.
 
 def _es_line(beta, vals, probs, cum, at):
     """The kernel's terms, value times clipped width, made once with t's
@@ -636,22 +624,6 @@ def _es_line(beta, vals, probs, cum, at):
     def step(t):
         terms[at] = t * w
         return math.fsum(terms) / scale
-
-    return step
-
-
-def _entropic_line(lam, vals, probs, cum, at):
-    if at == len(vals):
-        # t is the largest atom and sets the shift: the whole kernel
-        return lambda t: _entropic_atoms(lam, vals + [t], probs, cum)
-    m = vals[-1]
-    terms = [p * math.exp((v - m) / lam)
-             for v, p in zip(vals[:at] + [m] + vals[at:], probs)]
-    p = probs[at]
-
-    def step(t):
-        terms[at] = p * math.exp((t - m) / lam)
-        return m + lam * math.log(math.fsum(terms))
 
     return step
 
@@ -672,12 +644,14 @@ _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive",
 
 
 # What a law factory knows of its measure: ``score``, the kernel, and
-# ``line``, its line form, each with the measure's parameters bound; and
-# ``level``, the ES level of a box-dual primitive, else None.
-_Law = namedtuple("_Law", "score line level")
+# ``line``, its line form or None, each with the measure's parameters
+# bound; ``level``, the ES level of a box-dual primitive, else None; and
+# ``lam``, the entropic parameter, else None.
+_Law = namedtuple("_Law", "score line level lam")
 
 
-def _law_measure(name, claims, primitive, kernel, *params, line=None, level=None):
+def _law_measure(name, claims, primitive, kernel, *params, line=None, level=None,
+                 lam=None):
     """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
     small profiles by ``kernel(*params, values, probs, cum)``, for
     parameters the caller has checked; ``line`` is the kernel's own line
@@ -685,9 +659,7 @@ def _law_measure(name, claims, primitive, kernel, *params, line=None, level=None
     rho = RiskEvaluator(
         name, lambda x: primitive(distribution_of(x), *params), claims
     )
-    score = partial(kernel, *params)
-    line = partial(_kernel_line, score) if line is None else partial(line, *params)
-    rho._law = _Law(score, line, level)
+    rho._law = _Law(partial(kernel, *params), line and partial(line, *params), level, lam)
     return rho
 
 
@@ -719,7 +691,7 @@ def entropic_measure(lam):
     _check_entropic_parameter(lam)
     claims = _MONETARY + ("star_shaped", "convex", "law_invariant", "ssd_consistent")
     return _law_measure("entropic[%g]" % lam, claims, entropic, _entropic_atoms, lam,
-                        line=_entropic_line)
+                        lam=lam)
 
 
 def shortfall_measure(u):

@@ -64,10 +64,6 @@ class ActionLossTable:
         self.losses = losses
 
     @property
-    def space(self):
-        return self.losses[0].space
-
-    @property
     def size(self):
         return len(self.actions)
 

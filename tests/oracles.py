@@ -399,6 +399,19 @@ def exact_envelope_value(x_values, residual_values, homogeneous):
     return min(max(v - a * w for v, w in zip(xs, rs)) for a in candidates)
 
 
+def box_penalty(q, p, level, tol=1e-12):
+    """Dual penalty of the mean (level 0), ES at ``level`` and the worst
+    case (level 1): 0 when sum(q) is 1 and every q_s <= p_s / (1 - level)
+    (no cut at level 1), each within ``tol``, else inf.  Decided in exact
+    rational arithmetic."""
+    qs, ps, slack = [Fraction(a) for a in q], [Fraction(b) for b in p], Fraction(tol)
+    if abs(sum(qs) - 1) > slack:
+        return math.inf
+    if level < 1.0 and any(a > b / (1 - Fraction(level)) + slack for a, b in zip(qs, ps)):
+        return math.inf
+    return 0.0
+
+
 def entropic_penalty(q, p, lam):
     """Dual penalty of the entropic measure with parameter ``lam``:
     lam * KL(Q || P) = lam * sum q log(q / p), with 0 log 0 = 0 (Follmer

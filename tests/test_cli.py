@@ -472,6 +472,20 @@ class TestInputErrors:
             "cannot read",
         )
 
+    @pytest.mark.parametrize("which, content", [
+        ("--input", b"state,prob,book\ns1,1.0,\xff\n"),
+        ("--spec", b'{"measures": [{"name": "v\xff", "kind": "var", "beta": 0.5}]}'),
+        # past csv's field limit of 131,072 characters
+        ("--input", b"state,prob,book\ns1,1.0," + b"1" * 131_073 + b"\n"),
+    ], ids=["csv-not-utf8", "spec-not-utf8", "csv-field-too-long"])
+    def test_unreadable_content(self, which, content, tmp_path, capsys):
+        # each used to escape as a traceback, with exit status 1
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        argv = ["eval", "--input", str(DATA / "book.csv"), "--spec", str(DATA / "basic.json")]
+        argv[argv.index(which) + 1] = str(bad)
+        expect_input_error(capsys, argv, "cannot read %s: " % bad)
+
     def test_properties_not_a_list(self, tmp_path, capsys):
         bad = tmp_path / "spec.json"
         bad.write_text(json.dumps({

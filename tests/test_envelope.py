@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from starrisk.measures import (
 )
 from starrisk.aggregate import MeasureFamily, ecb_blend_measure
 from starrisk.axioms import DILATION_GRID, ProbeSet, check_axiom, default_probe_set
+from starrisk import envelope
 from starrisk.envelope import (
     EnvelopeMember,
     PenaltyTable,
@@ -459,6 +461,89 @@ class TestAggregateRepresentation:
             aggregate_representation_check(fams, "infconv", empty)
 
 
+def no_grid():
+    """A context in which building a penalty grid fails the test."""
+    return mock.patch.object(envelope, "_grid_points",
+                             side_effect=AssertionError("a penalty grid was built"))
+
+
+# criterion 09's space, scenarios and box, and three weighted states, where
+# each grid line has two fixed entries
+CLOSED_FORM_CASES = [
+    (U2, [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0),
+          (1.25, 0.0), (0.0, 1.25), (1.5, 0.5)], 4.0, 0.25),
+    (StateSpace([0.2, 0.3, 0.5]), [(0.2, 0.3, 0.5), (0.0, 0.4, 0.6),
+                                   (0.6, 0.3, 0.1), (1.2, 0.0, 0.3)], 2.0, 0.5),
+]
+
+
+@st.composite
+def penalty_cases(draw):
+    """A weighted space of 1 to 6 states, a box level (0, 1, or an ES
+    level between), an entropic parameter from 1e-3 to 1e3, and scenarios:
+    P itself, then points inside the level's box, on its edge, outside it
+    and off the simplex."""
+    n = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), float)
+    p = (weights / weights.sum()).tolist()
+    level = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]),
+                           st.floats(0.0, 0.99, exclude_min=True)))
+    lam = 10.0 ** draw(st.floats(-3.0, 3.0))
+    caps = [b / (1.0 - level) if level < 1.0 else math.inf for b in p]
+
+    def vertex():
+        # fill the caps in a drawn order: a point on the box's edge
+        v, left = [0.0] * n, 1.0
+        for s in draw(st.permutations(range(n))):
+            v[s] = min(caps[s], left)
+            left -= v[s]
+        return v
+
+    scenarios = [p]
+    for kind in draw(st.lists(st.sampled_from(
+            ["inside", "edge", "outside", "shift", "off"]), min_size=1, max_size=6)):
+        v = vertex()
+        if kind == "inside":
+            t = draw(st.floats(0.0, 1.0))
+            q = [t * a + (1.0 - t) * b for a, b in zip(p, v)]
+        elif kind == "edge":
+            q = v
+        elif kind == "outside":
+            d = draw(st.sampled_from([1e-6, 0.01, 0.5]))
+            q = [max(0.0, (1.0 + d) * b - d * a) for a, b in zip(p, v)]
+        elif kind == "shift":
+            # mass moved from state r to state s
+            r, s = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            m = p[r] * draw(st.sampled_from([1e-6, 0.5, 1.0]))
+            q = list(p)
+            q[r] -= m
+            q[s] += m
+        else:
+            c = draw(st.sampled_from([0.5, 1.0 - 1e-9, 1.0 + 1e-9, 1.5]))
+            q = [c * b for b in v]
+        scenarios.append(q)
+    return StateSpace(p), level, lam, scenarios
+
+
+@settings(max_examples=150, deadline=None)
+@given(penalty_cases())
+def test_closed_form_penalties_match_the_oracles(case):
+    space, level, lam, scenarios = case
+    p = space.probs.tolist()
+    box = (mean_measure() if level == 0.0 else worst_case_measure() if level == 1.0
+           else es_measure(level))
+    with no_grid():
+        got = penalty_of(box, space, scenarios).alpha.tolist()
+    assert got == [oracles.box_penalty(q, p, level) for q in scenarios]
+    with no_grid():
+        got = penalty_of(entropic_measure(lam), space, scenarios).alpha.tolist()
+    for q, a in zip(scenarios, got):
+        if abs(math.fsum(q) - 1.0) > 1e-12:
+            assert a == math.inf
+        else:
+            assert a == pytest.approx(oracles.entropic_penalty(q, p, lam), rel=1e-12, abs=0.0)
+
+
 class TestPenalty:
     def test_mean_penalty_zero_at_reference_infinite_elsewhere(self):
         table = penalty_of(mean_measure(), U2, [(0.5, 0.5), (0.3, 0.7)])
@@ -497,19 +582,11 @@ class TestPenalty:
             assert abs(rebuilt - rho(x)) <= 0.05
 
     def test_kernel_member_gives_the_same_table(self):
-        # the member rebuilt without its plain-atom kernel takes the array
-        # path
+        # the member rebuilt without its law record takes the grid, which
+        # finds the closed form's 0 and +inf on these scenarios exactly
         rho = es_measure(0.5)
         opaque = RiskEvaluator(rho.name, rho._fn, rho.claims)
-        cases = [
-            # criterion 09's space, scenarios and box
-            (U2, [(0.0, 1.0), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (1.0, 0.0),
-                  (1.25, 0.0), (0.0, 1.25), (1.5, 0.5)], 4.0, 0.25),
-            # three weighted states: each grid line has two fixed entries
-            (StateSpace([0.2, 0.3, 0.5]), [(0.2, 0.3, 0.5), (0.0, 0.4, 0.6),
-                                           (0.6, 0.3, 0.1), (1.2, 0.0, 0.3)], 2.0, 0.5),
-        ]
-        for space, scenarios, box, step in cases:
+        for space, scenarios, box, step in CLOSED_FORM_CASES:
             a = penalty_of(rho, space, scenarios, box=box, step=step)
             b = penalty_of(opaque, space, scenarios, box=box, step=step)
             assert a.alpha.tobytes() == b.alpha.tobytes()
@@ -520,13 +597,40 @@ class TestPenalty:
         (0.7, (0.2, 0.3, 0.5), (0.6, 0.3, 0.1), {"box": 2.0, "step": 0.5}),
     ])
     def test_entropic_penalty_is_the_relative_entropy(self, lam, p, q, grid):
-        # sup_X (E_Q[X] - rho(X)) is attained on a whole line of cash
-        # translates, so every pass's first argmax sits on the box edge;
-        # a grid value is a lower bound of the sup
-        table = penalty_of(entropic_measure(lam), StateSpace(p), [p, q], **grid)
+        # the record's closed form; and the grid for the member rebuilt
+        # without it: sup_X (E_Q[X] - rho(X)) is attained on a whole line
+        # of cash translates, so every pass's first argmax sits on the box
+        # edge, and a grid value is a lower bound of the sup
+        rho = entropic_measure(lam)
         want = oracles.entropic_penalty(q, p, lam)
-        assert table.alpha[0] == pytest.approx(0.0, abs=1e-9)
-        assert 0.95 * want <= table.alpha[1] <= want * (1 + 1e-12)
+        for gamma in (rho, RiskEvaluator(rho.name, rho._fn, rho.claims)):
+            table = penalty_of(gamma, StateSpace(p), [p, q], **grid)
+            assert table.alpha[0] == pytest.approx(0.0, abs=1e-9)
+            assert 0.95 * want <= table.alpha[1] <= want * (1 + 1e-12)
+
+    @pytest.mark.parametrize("space, scenarios, box, step", CLOSED_FORM_CASES,
+                             ids=["criterion-09", "weighted-3"])
+    def test_grid_never_exceeds_the_closed_form(self, space, scenarios, box, step):
+        # each record's member rebuilt without it takes the grid, a lower
+        # bound; 1e-6 is the groundedness scale, far above the rounding of
+        # rows up to 4 * 4**12
+        for rho in (mean_measure(), es_measure(0.5), es_measure(0.9),
+                    worst_case_measure(), entropic_measure(0.7)):
+            opaque = RiskEvaluator(rho.name, rho._fn, rho.claims)
+            exact = penalty_of(rho, space, scenarios, box=box, step=step).alpha
+            grid = penalty_of(opaque, space, scenarios, box=box, step=step).alpha
+            assert np.all(grid <= exact + 1e-6), (rho.name, grid, exact)
+
+    @pytest.mark.parametrize("n, box, step", [(2, 1e12, 1.0), (5, 8.0, 0.25)],
+                             ids=["wide-box", "five-states"])
+    def test_oversized_grid_is_refused_before_it_is_built(self, n, box, step):
+        # building either grid would ask for gigabytes or more
+        space = StateSpace.uniform(n)
+        es5 = es_measure(0.5)
+        opaque = RiskEvaluator(es5.name, es5._fn, es5.claims)
+        with no_grid(), pytest.raises(DomainError,
+                                      match=r"penalty grid of \d+\*\*%d rows exceeds 16777216" % n):
+            penalty_of(opaque, space, [space.probs], box=box, step=step)
 
     def test_measure_without_a_finite_value_is_refused(self):
         gamma = RiskEvaluator("nowhere_finite", lambda x: math.nan)
