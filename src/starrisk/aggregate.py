@@ -82,6 +82,9 @@ class MeasureFamily:
         idx = tuple(indices)
         if not idx:
             raise DomainError("subfamily needs at least one index")
+        # numpy integers count; a bool is an int to Python, not an index
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+            raise DomainError("member indices must be integers: %r" % (idx,))
         if any(not 0 <= i < self.size for i in idx):
             raise DomainError("member index out of range: %r" % (idx,))
         return MeasureFamily([self.members[i] for i in idx], self.space)
@@ -133,11 +136,7 @@ def choquet_aggregate(fam, mu, x):
     top set.  Equal values make the increments telescope, so the result
     does not depend on the tie order.
     """
-    if mu.index_count != fam.size:
-        raise DimensionError(
-            "capacity indexes %d members, family has %d"
-            % (mu.index_count, fam.size)
-        )
+    _check_capacity(fam, mu)
     vals = fam.values(x)
     order = np.argsort(-vals, kind="stable")
     terms = []
@@ -149,6 +148,12 @@ def choquet_aggregate(fam, mu, x):
         terms.append(vals[i] * (level - prev))
         prev = level
     return math.fsum(terms)
+
+
+def _check_capacity(fam, mu):
+    if mu.index_count != fam.size:
+        raise DimensionError("capacity indexes %d members, family has %d"
+                             % (mu.index_count, fam.size))
 
 
 def order_statistic_capacity(k, r):
@@ -539,24 +544,35 @@ def ccp_margin(fam, admissible, x, config=None, assume_normal=False):
     Returns the minimizing subset with its split; ties go to the earlier
     subset in list order.
     """
-    subsets = [tuple(a) for a in admissible]
-    if not subsets:
-        raise DomainError("admissible list must be nonempty")
     best = None
-    for subset in subsets:
-        sol = inf_convolution(fam.subfamily(subset), x, config, assume_normal)
+    for subset, sub in _admissible(fam, admissible):
+        sol = inf_convolution(sub, x, config, assume_normal)
         if best is None or sol.total < best[1].total - 1e-15:
             best = (subset, sol)
     return best
 
 
+# (subset, subfamily) pairs of a nonempty ``admissible`` list, each subset
+# checked by ``subfamily``
+def _admissible(fam, admissible):
+    pairs = [(tuple(a), fam.subfamily(a)) for a in admissible]
+    if not pairs:
+        raise DomainError("admissible list must be nonempty")
+    return pairs
+
+
 def ecb_blend(fam, weight, x):
     """Caution-weighted mix of the most and least conservative member."""
+    w = _check_blend_weight(weight)
+    vals = fam.values(x)
+    return w * float(vals.max()) + (1.0 - w) * float(vals.min())
+
+
+def _check_blend_weight(weight):
     w = float(weight)
     if not 0.0 <= w <= 1.0:
         raise DomainError("blend weight must lie in [0, 1], got %g" % w)
-    vals = fam.values(x)
-    return w * float(vals.max()) + (1.0 - w) * float(vals.min())
+    return w
 
 
 # -- Evaluator wrappers -----------------------------------------------------
@@ -586,8 +602,11 @@ def _family_measure(fam, label, allowed, fn):
     return RiskEvaluator(label, fn, tuple(sorted(claims)), required_n=fam.space.n)
 
 
+# The aggregate factories check their parameters when the evaluator is
+# built, with the checks that the public function of each call runs again.
 def choquet_measure(fam, mu, name=None):
     """Choquet aggregate as a reusable evaluator pinned to the family space."""
+    _check_capacity(fam, mu)
     return _family_measure(
         fam, name or "choquet[%d members]" % fam.size, _PASS_THROUGH_EXACT,
         lambda x: choquet_aggregate(fam, mu, x),
@@ -595,6 +614,7 @@ def choquet_measure(fam, mu, name=None):
 
 
 def ecb_blend_measure(fam, weight, name=None):
+    _check_blend_weight(weight)
     return _family_measure(
         fam, name or "blend[%g]" % weight, _PASS_THROUGH_EXACT,
         lambda x: ecb_blend(fam, weight, x),
@@ -604,12 +624,13 @@ def ecb_blend_measure(fam, weight, name=None):
 def ccp_margin_measure(fam, admissible, config=None, name=None, assume_normal=False):
     """Margin pipeline as an evaluator.  The normality gate runs once per
     multi-member admissible subset at construction, not on every call."""
+    pairs = _admissible(fam, admissible)
     if not assume_normal:
-        for subset in admissible:
-            if len(tuple(subset)) > 1:
-                _gate(fam.subfamily(subset), config)
+        for _, sub in pairs:
+            if sub.size > 1:
+                _gate(sub, config)
     return _family_measure(
-        fam, name or "margin[%d subsets]" % len(admissible), _PASS_THROUGH,
+        fam, name or "margin[%d subsets]" % len(pairs), _PASS_THROUGH,
         lambda x: ccp_margin(fam, admissible, x, config, assume_normal=True)[1].total,
     )
 

@@ -56,7 +56,10 @@ class EnvelopeMember:
     def __init__(self, y, rho_y, homogeneous=False):
         rho_y = float(rho_y)
         res = y.values - rho_y
-        if res.min() > _RESIDUAL_TOL or res.max() < -_RESIDUAL_TOL:
+        # within 1e-8 times max(1, max|y|), so that rounding at large
+        # scale passes
+        tol = _RESIDUAL_TOL * max(1.0, float(np.abs(y.values).max()))
+        if res.min() > tol or res.max() < -tol:
             raise DomainError(
                 "residual of an envelope member must straddle 0; "
                 "got range [%g, %g]" % (res.min(), res.max())

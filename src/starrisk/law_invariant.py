@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .state_space import MASS_TOL, VALUE_MERGE_TOL, DomainError, distribution_of
-from .measures import _es_levels, _es_table, es, mean, var, worst_case
+from .measures import _es_table, es, mean, var, worst_case
 
 __all__ = [
     "PrecisionError",
@@ -106,10 +106,13 @@ class GeneratorCurve:
         if self.kind == "var":
             values = self.dist.values.tolist()
         else:
+            # at a level the running mass rounds up to 1, the curve is its
+            # value at 1, the largest atom, as in value_at
+            inside = levels[levels < 1.0]
             values = (
                 [mean(self.dist)]
-                + _es_levels(self.dist, levels)
-                + [float(self.dist.values[-1])]
+                + _es_table(self.dist, inside)
+                + [float(self.dist.values[-1])] * (levels.size - inside.size + 1)
             )
         return {"kind": self.kind, "levels": levels.tolist(), "values": values}
 

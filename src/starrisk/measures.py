@@ -164,7 +164,11 @@ class RiskEvaluator:
 # a law with one moving atom t: see "Line forms" below.
 
 def var(d, beta):
-    """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1]."""
+    """Value-at-Risk: smallest x with P(X > x) <= 1 - beta, beta in (0, 1].
+
+    The running mass is compared with a slack of ``MASS_TOL``, so beta = 1
+    reaches the largest atom only within it: on weights (0.5, 0.5, 5e-13)
+    and losses (-3, -2, -1), ``var(d, 1.0)`` is -2, not -1."""
     _check_var_level(beta)
     return float(_var_atoms(beta, d.values, d.probs, d.cum))
 
@@ -229,13 +233,6 @@ def _es_cells(d, levels):
 
 
 _ZERO = np.zeros(1)
-
-
-def _es_levels(d, levels):
-    """ES of ``d`` at each level of a float array; see ``_es_table``."""
-    for b in levels.tolist():
-        _check_es_level(b)
-    return _es_table(d, levels)
 
 
 def _es_table(d, levels):

@@ -44,10 +44,10 @@ class StateSpace:
     ----------
     probs:
         Per-state probabilities. Must be finite, strictly positive and sum
-        to 1 within 1e-12 by ``math.fsum``, the mass rule of every law.
-        ``fsum`` is exactly rounded, so a law on this space whose atoms did
-        not merge, its probabilities these weights in another order, meets
-        that rule by construction.
+        to 1 within 1e-12 by ``math.fsum``, the mass rule of every law,
+        checked here where the weights enter.  A law on this space takes
+        them as checked: when tied losses merge, its probabilities carry
+        only the merge's rounding.
     """
 
     __slots__ = ("probs", "n", "_plain")
@@ -60,11 +60,7 @@ class StateSpace:
             raise DomainError("probs must be finite")
         if np.any(p <= 0.0):
             raise DomainError("all state probabilities must be strictly positive")
-        total = math.fsum(p.tolist())
-        if abs(total - 1.0) > MASS_TOL:
-            raise DomainError(
-                "probabilities sum to %.17g, not 1 within %g" % (total, MASS_TOL)
-            )
+        _check_mass(p.tolist())
         p.setflags(write=False)
         self.probs = p
         self.n = int(p.size)
@@ -182,12 +178,12 @@ class LossDistribution:
 
     Values are strictly increasing: atoms closer than 1e-12 times the
     largest magnitude merge, their probabilities added in state order, the
-    order of ``atoms`` or of a profile's states.  Probabilities sum to 1
-    within 1e-12 by ``math.fsum``, and ``cum`` holds their running total.
-    ``atoms`` need finite values and finite, strictly positive
-    probabilities of that mass; this constructor checks them, as a
-    ``StateSpace`` checks its weights, so that every law, from ``atoms``
-    or from ``distribution_of``, is built by ``_build`` on checked input.
+    order of ``atoms`` or of a profile's states; ``cum`` holds their
+    running total.  ``atoms`` need finite values and finite, positive
+    probabilities of ``fsum`` mass 1 within 1e-12, checked here where they
+    enter, as a ``StateSpace`` checks its weights; every law is built by
+    ``_build`` on checked input, and a merged law's probabilities carry
+    only the merge's rounding.
     """
 
     __slots__ = ("values", "probs", "cum")
@@ -207,12 +203,9 @@ class LossDistribution:
     def _build(self, values, probs):
         """Set this law from nonempty float arrays ``values`` and ``probs``,
         already checked where they entered: finite, with positive
-        probabilities of ``fsum`` mass 1.  The merge adds probabilities
-        with rounding, so the mass is checked again only when atoms
-        merged."""
+        probabilities of ``fsum`` mass 1.  Merged atoms' probabilities
+        carry only the merge's rounding."""
         self.values, self.probs = _merge_arrays(values, probs)
-        if self.probs.size < probs.size:
-            _check_mass(self.probs.tolist())
         # np.cumsum adds in sequence, like itertools.accumulate
         self.cum = np.cumsum(self.probs)
         for a in (self.values, self.probs, self.cum):
@@ -233,13 +226,11 @@ def _space_atoms(values, space):
 
     The pairs are sorted by value, a stable sort that keeps tied values in
     state order, and merged by ``_merge_sorted``; ``cum`` is the running
-    total of the probabilities.  The space checked its weights, so the
-    mass is checked again only when atoms merged.
+    total of the probabilities.  The space checked its weights where they
+    entered; merged atoms' probabilities carry only the merge's rounding.
     """
     weights = space._plain_probs()
     vals, probs = _merge_sorted(sorted(zip(values, weights), key=_BY_VALUE))
-    if len(vals) < space.n:
-        _check_mass(probs)
     return vals, probs, list(accumulate(probs))
 
 
@@ -249,20 +240,20 @@ def _line_atoms(values, j, space, form, law):
     coordinate line, scored through the line form ``form``.
 
     The n - 1 fixed entries are sorted once, stably, as ``_space_atoms``
-    sorts them, and exact ties among them merge there at any tolerance,
-    their weights added in state order.  t goes in by one ``bisect_left``.
-    The first point at an insertion place ``at`` makes that place's
-    probabilities and running totals, checks their mass when fixed entries
-    merged, and runs ``form(vals, probs, cum, at)`` once, ``vals`` the
-    sorted fixed values; the step it returns scores every later point
-    there.  Those lists are ``_space_atoms``' bit for bit, with t at index
-    ``at`` of the values, whenever no other atoms merge, that is whenever
-    every gap between neighbouring distinct values exceeds the tolerance.
-    A gap of two fixed values that t falls between bounds t's gaps to
-    both, rounding being monotone, so testing the smallest fixed gap and
-    t's two neighbours decides it.  The tolerance is taken, as there, from
-    the largest magnitude with t included; at any point where other atoms
-    could merge the row goes to ``_space_atoms`` and ``law`` unchanged.
+    sorts them, and exact ties among them merge at any tolerance, their
+    weights, checked where they entered, added in state order with only the
+    merge's rounding.  t goes in by one ``bisect_left``.  The first point at
+    an insertion place ``at`` makes that place's probabilities and running
+    totals and runs ``form(vals, probs, cum, at)`` once, ``vals`` the sorted
+    fixed values; the step it returns scores every later point there.  Those
+    lists are ``_space_atoms``' bit for bit, with t at index ``at``,
+    whenever no other atoms merge, that is whenever every gap between
+    neighbouring distinct values exceeds the tolerance.  A gap of two fixed
+    values that t falls between bounds t's gaps to both, rounding being
+    monotone, so testing the smallest fixed gap and t's two neighbours
+    decides it.  The tolerance is taken, as there, from the largest
+    magnitude with t included; where other atoms could merge the row goes to
+    ``_space_atoms`` and ``law`` unchanged.
     """
     row = list(values)
     weights = space._plain_probs()
@@ -276,7 +267,6 @@ def _line_atoms(values, j, space, form, law):
         else:
             vals.append(v)
             probs.append(p)
-    merged = len(vals) < len(fixed)
     gap = min(map(sub, vals[1:], vals[:-1]), default=math.inf)
     last, weight = len(vals), weights[j]
     steps = [None] * (last + 1)
@@ -291,8 +281,6 @@ def _line_atoms(values, j, space, form, law):
             step = steps[at]
             if step is None:
                 ps = probs[:at] + [weight] + probs[at:]
-                if merged:
-                    _check_mass(ps)
                 step = steps[at] = form(vals, ps, list(accumulate(ps)), at)
             return step(t)
         row[j] = t
@@ -317,10 +305,13 @@ def _merge_sorted(pairs):
     return vals, probs
 
 
+# The mass rule of every law, applied only where weights enter: a
+# ``StateSpace``'s weights and ``LossDistribution``'s atoms.
 def _check_mass(probs):
     total = math.fsum(probs)
     if abs(total - 1.0) > MASS_TOL:
-        raise DomainError("atom probabilities sum to %.17g, not 1" % total)
+        raise DomainError("probabilities sum to %.17g, not 1 within %g"
+                          % (total, MASS_TOL))
 
 
 def _merge_arrays(values, probs):
@@ -372,8 +363,8 @@ def pointwise_leq(x, y):
 
 def distribution_of(x):
     """Law of a ``LossProfile`` under its space's weights, built by
-    ``_build``: tied losses merge in state order, and the space checked
-    its weights, so the mass is checked again only when atoms merged."""
+    ``_build``: tied losses merge in state order.  The space checked its
+    weights where they entered; merged probabilities carry only rounding."""
     law = LossDistribution.__new__(LossDistribution)
     return law._build(x.values, x.space.probs)
 

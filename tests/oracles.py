@@ -49,6 +49,11 @@ def oracle_mean(values, probs):
     return math.fsum(v * p for v, p in zip(values, probs))
 
 
+def oracle_entropic(values, probs, lam):
+    """Certain equivalent ``lam * log E[exp(X / lam)]``, the textbook way."""
+    return lam * math.log(math.fsum(p * math.exp(v / lam) for v, p in zip(values, probs)))
+
+
 # The law layer's former array formulas, kept as bit-for-bit references.
 # They read a law's sorted atom ``values`` and running ``cum`` masses as
 # float arrays and raise ValueError for a level outside the domain.

@@ -89,6 +89,46 @@ class TestMeasureFamily:
         with pytest.raises(DomainError):
             fam.subfamily([2])
 
+    @pytest.mark.parametrize("indices", [[0.5], [1.0], [True], [0, np.bool_(True)],
+                                         ["0"], [None]])
+    def test_subfamily_refuses_non_integer_indices(self, indices):
+        fam = fam_of([1.0, 2.0])
+        with pytest.raises(DomainError, match="must be integers"):
+            fam.subfamily(indices)
+        with pytest.raises(DomainError, match="must be integers"):
+            ccp_margin(fam, [tuple(indices)], X0)
+
+    def test_subfamily_takes_numpy_integers(self):
+        fam = fam_of([1.0, 2.0])
+        sub = fam.subfamily(np.array([1, 0]))
+        assert sub.members == (fam.members[1], fam.members[0])
+        assert fam.subfamily([np.uint8(1)]).members == (fam.members[1],)
+
+
+class TestAggregateFactories:
+    # each factory refuses its parameters when built, with the error of
+    # the public function that every call runs
+    def test_choquet_capacity_must_index_the_family(self):
+        with pytest.raises(DimensionError, match="capacity indexes 3 members"):
+            choquet_measure(fam_of([1.0, 2.0]), sup_capacity(3))
+
+    @pytest.mark.parametrize("weight", [1.5, -0.1, math.nan])
+    def test_blend_weight_must_lie_in_the_unit_interval(self, weight):
+        with pytest.raises(DomainError, match="blend weight must lie in"):
+            ecb_blend_measure(fam_of([1.0, 2.0]), weight)
+
+    @pytest.mark.parametrize("admissible, message", [
+        ([], "admissible list must be nonempty"),
+        ([(0,), ()], "at least one index"),
+        ([(0,), (2,)], "out of range"),
+        ([(0, 1.0)], "must be integers"),
+    ])
+    def test_margin_admissible_subsets_are_checked(self, admissible, message):
+        for assume_normal in (False, True):
+            with pytest.raises(DomainError, match=message):
+                ccp_margin_measure(fam_of([1.0, 2.0]), admissible,
+                                   assume_normal=assume_normal)
+
 
 class TestChoquet:
     def test_additive_is_weighted_average(self):

@@ -16,10 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starrisk.axioms import SUPPORTED_PROPERTIES
 from starrisk.cli import CliInputError, _KINDS, _clean, _parser, main
+
+import oracles
 
 ROOT = Path(__file__).parent.parent
 DATA = ROOT / "tests" / "data"
@@ -116,6 +119,19 @@ class TestFrozenValues:
         hedge = rep["results"]["hedge"]
         assert hedge["var75"] == 0.5
         assert hedge["wc"] == 1.0
+
+    def test_eval_tied_losses_at_the_mass_edge(self, tmp_path):
+        # weights whose fsum is 1 + 4503 * 2**-52, the largest mass a space
+        # takes, with the first two losses tied: the merged law builds on
+        # them, its probabilities carrying only the merge's rounding
+        _, rep = report(tmp_path, data_argv("eval", "edge_ties.csv", "basic.json"))
+        book = rep["results"]["book"]
+        weights = [0.31925244413817927, 0.41632748194291, 0.2644200739199106]
+        assert math.fsum(weights) == 1.0 + 4503 * 2.0**-52
+        cum = np.array([weights[0] + weights[1], sum(weights)])
+        assert book["v"] == 1.0
+        assert book["e"] == pytest.approx(
+            oracles.array_es(np.array([1.0, 2.0]), cum, 0.5), abs=1e-12)
 
     def test_aggregate_tables(self, tmp_path):
         _, rep = report(tmp_path, data_argv("aggregate", "book.csv", "aggregate.json"))

@@ -109,6 +109,29 @@ class TestEnvelopeMember:
 
 
 @st.composite
+def constant_positions(draw):
+    """A constant position c * 1 on 1 to 8 states of random weights, with
+    |c| from 1e-12 to 1e13: its measures differ from c only by rounding."""
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8))
+    weights = np.array(raw) / math.fsum(raw)
+    c = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-12, 12))
+    c *= draw(st.sampled_from([1.0, -1.0]))
+    return LossProfile(StateSpace(weights), np.full(len(raw), c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_positions(), st.floats(0.01, 0.99), st.sampled_from([0.5, 1.0, 2.0]))
+def test_members_at_constant_positions_are_built_at_any_scale(y, beta, lam):
+    # the straddle check allows rounding at the position's scale, so no
+    # member is refused for a residual of a few ulps of c; the tight
+    # member is rho(y) up to that rounding (ES's grows like 1 / (1 - beta))
+    scale = max(1.0, float(np.abs(y.values).max()))
+    for rho in (es_measure(beta), mean_measure(), entropic_measure(lam)):
+        (member,) = envelope_family(rho, [y])
+        assert abs(envelope_evaluate(member, y) - rho(y)) <= 1e-13 * scale
+
+
+@st.composite
 def envelope_cases(draw, max_n=80):
     """(member, x) on 1 to ``max_n`` states, segment or cone: integer grids
     give tied values and repeated residuals (r_i = r_j), zeros come signed

@@ -1,6 +1,6 @@
 """Bit-for-bit checks of the O(n) order and tail-average routes.
 
-``_es_levels`` keeps exact suffix totals, ``distribution_of`` keeps tied
+``_es_table`` keeps exact suffix totals, ``distribution_of`` keeps tied
 values in state order, and the quantile tests pick all their quantiles by
 one ``searchsorted`` per law.  Each is held here to the
 formula it replaced, compared by ``float.hex``, and the order tests to the
@@ -23,7 +23,7 @@ from starrisk.law_invariant import (
     var_envelope_eval,
 )
 from starrisk.measures import (
-    _es_levels,
+    _es_table,
     es,
     max_var,
     max_var_measure,
@@ -90,7 +90,7 @@ def test_es_levels_match_one_fsum_per_level(x, extra):
     # every breakpoint, random levels, and the ends of the open interval
     levels = sorted(set(interior(d) + extra + [5e-324, 1.0 - 2.0**-53]))
     want = oracles.fsum_es_levels(d.values, d.cum, levels)
-    assert hexes(_es_levels(d, np.array(levels))) == hexes(want)
+    assert hexes(_es_table(d, np.array(levels))) == hexes(want)
     for b in levels[:4]:
         assert es(d, b).hex() == oracles.fsum_es_levels(d.values, d.cum, [b])[0].hex()
 
@@ -104,7 +104,7 @@ def test_es_levels_match_one_fsum_per_level(x, extra):
 def test_exact_zero_total_takes_fsum_sign(atoms, level):
     d = LossDistribution(atoms)
     want = oracles.fsum_es_levels(d.values, d.cum, [level])
-    assert hexes(_es_levels(d, np.array([level]))) == hexes(want)
+    assert hexes(_es_table(d, np.array([level]))) == hexes(want)
     assert es(d, level).hex() == want[0].hex()
 
 
@@ -119,7 +119,7 @@ def test_extreme_terms_match_fsum(values):
     d = distribution_of(LossProfile(StateSpace.uniform(len(values)), values))
     levels = interior(d) + [0.1, 0.9]
     want = oracles.fsum_es_levels(d.values, d.cum, levels)
-    assert hexes(_es_levels(d, np.array(levels))) == hexes(want)
+    assert hexes(_es_table(d, np.array(levels))) == hexes(want)
 
 
 def test_es_levels_match_fsum_at_10000_states():
@@ -131,7 +131,7 @@ def test_es_levels_match_fsum_at_10000_states():
     levels = sorted(rng.uniform(0.0, 1.0, size=10).tolist()
                     + d.cum[rng.integers(0, n - 1, size=10)].tolist())
     want = oracles.fsum_es_levels(d.values, d.cum, levels)
-    assert hexes(_es_levels(d, np.array(levels))) == hexes(want)
+    assert hexes(_es_table(d, np.array(levels))) == hexes(want)
 
 
 # -- tied values in distribution_of ------------------------------------------------

@@ -140,6 +140,18 @@ class TestGeneratorCurve:
             "values": [-0.5, 1.0, 1.0],
         }
 
+    def test_tail_average_serialization_past_a_running_mass_of_one(self):
+        # the running mass reaches 1 at the second atom, before the tiny
+        # weight on the largest loss: there the curve is its value at 1
+        x = LossProfile(StateSpace([0.5, 0.5, 5e-13]), [-3.0, -2.0, -1.0])
+        gen = GeneratorCurve(x, "es")
+        assert gen.to_dict() == {
+            "kind": "es",
+            "levels": [0.5, 1.0],
+            "values": [gen.value_at(0.0), gen.value_at(0.5), -1.0, -1.0],
+        }
+        assert gen.value_at(1.0) == -1.0
+
 
 class TestFirstOrder:
     def test_reflexive(self):

@@ -20,7 +20,7 @@ from starrisk.state_space import (
 )
 from starrisk.measures import (
     RiskEvaluator,
-    _es_levels,
+    _es_table,
     LossBenchmark,
     Utility,
     entropic,
@@ -151,7 +151,7 @@ class TestEs:
             [c for c in d.cum[:-1].tolist() if 0.0 < c < 1.0] + sorted(extra)
         )
         expected = [es(d, b) for b in levels.tolist()]
-        assert [e.hex() for e in _es_levels(d, levels)] == [e.hex() for e in expected]
+        assert [e.hex() for e in _es_table(d, levels)] == [e.hex() for e in expected]
 
 
 def test_var_and_mean_match_oracles_at_10000_states():

@@ -2,14 +2,28 @@
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from starrisk.measures import _PAIR_BUILD_MAX, es_measure
+from starrisk.measures import (
+    _PAIR_BUILD_MAX,
+    LossBenchmark,
+    Utility,
+    entropic_measure,
+    es_measure,
+    lvar_measure,
+    max_var_measure,
+    mean_measure,
+    med_var_measure,
+    shortfall_measure,
+    var_measure,
+    worst_case_measure,
+)
 from starrisk.state_space import (
     Capacity,
     DimensionError,
@@ -24,6 +38,8 @@ from starrisk.state_space import (
     pointwise_leq,
     quantile_breakpoints,
 )
+
+import oracles
 
 
 def test_state_space_validation():
@@ -277,3 +293,91 @@ def test_spaces_and_capacities_refuse_bad_input(build, message):
 def test_profile_needs_a_state_space():
     with pytest.raises(TypeError, match="space must be a StateSpace"):
         LossProfile([0.5, 0.5], [1.0, 2.0])
+
+
+# The largest offset from 1 of the fsum mass that a space takes:
+# 4504 * 2**-52 already exceeds 1e-12.
+MASS_EDGE = 4503 * 2.0**-52
+
+
+def tune_mass(weights, target):
+    """``weights`` with the last one moved so that their fsum is exactly
+    ``target``."""
+    w = list(weights)
+    w[-1] = float(Fraction(target) - sum(map(Fraction, w[:-1])))
+    while math.fsum(w) != target:
+        w[-1] = math.nextafter(w[-1], math.inf if math.fsum(w) < target else -math.inf)
+    return w
+
+
+@st.composite
+def tied_edge_cases(draw):
+    """Weights of fsum mass exactly 1 + MASS_EDGE or 1 - MASS_EDGE, losses
+    at small integers with states 0 and 1 tied, and a state ``j`` >= 2
+    whose coordinate line keeps that tie among its fixed entries."""
+    n = draw(st.integers(3, 8))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    total = math.fsum(raw)
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    weights = tune_mass([r / total for r in raw], 1.0 + sign * MASS_EDGE)
+    values = [float(v) for v in draw(st.lists(st.integers(-3, 3), min_size=n,
+                                              max_size=n))]
+    values[1] = values[0]
+    return weights, values, draw(st.integers(2, n - 1))
+
+
+def hex_list(xs):
+    return [float(v).hex() for v in xs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_edge_cases())
+# the merge of the tied 1.0 rounds this law's fsum mass to 1 + 4504 * 2**-52
+@example(([0.31925244413817927, 0.41632748194291, 0.2644200739199106],
+          [1.0, 1.0, 2.0], 2))
+def test_tied_losses_build_at_the_mass_edge(case):
+    # the mass rule holds where the weights enter; a law built on them
+    # merges ties and carries only the merge's rounding
+    weights, values, j = case
+    space = StateSpace(weights)
+    x = LossProfile(space, values)
+    d = distribution_of(x)
+    LossDistribution(zip(values, weights))
+    atoms = _space_atoms(values, space)
+    for got, want in zip(atoms, (d.values, d.probs, d.cum)):
+        assert hex_list(got) == hex_list(want)
+    # the law by exact grouping, and levels at the middle of each cell
+    groups = {}
+    for v, p in zip(values, weights):
+        groups[v] = groups.get(v, 0) + Fraction(p)
+    law_values = sorted(groups)
+    law_cum = np.array([float(c) for c in accumulate(groups[v] for v in law_values)])
+    levels = [0.5 * (a + b) for a, b in zip([0.0] + law_cum[:-1].tolist(), law_cum)]
+    knots = [(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5)]
+    bench = LossBenchmark([(0.0, levels[0]), (1.0, levels[-1])])
+    cases = [(mean_measure(), oracles.oracle_mean(values, weights)),
+             (worst_case_measure(), max(values)),
+             (shortfall_measure(Utility(knots)),
+              oracles.oracle_shortfall(values, weights, knots)),
+             (lvar_measure(bench), max(oracles.oracle_var(values, weights, a) - t
+                                       for t, a in zip(bench.times, bench.levels)))]
+    cases += [(entropic_measure(lam), oracles.oracle_entropic(values, weights, lam))
+              for lam in (0.5, 2.0)]
+    for b in levels:
+        q = oracles.oracle_var(values, weights, b)
+        cases += [(var_measure(b), q), (max_var_measure([weights], b), q),
+                  (med_var_measure([weights], b), q),
+                  (es_measure(b), oracles.array_es(np.array(law_values), law_cum, b))]
+    for rho, want in cases:
+        # the kernel at n <= 64 and the law-level primitive
+        for got in (rho(x), rho._fn(x)):
+            assert got == pytest.approx(want, abs=1e-9), rho.name
+    # a coordinate line whose fixed entries hold the tie, through each
+    # line form and at points on and off the atoms
+    points = sorted(set(values)) + [v + 0.5 for v in set(values)] + [-5.0, 5.0]
+    for rho in (es_measure(levels[-1]), worst_case_measure()):
+        line = rho._line(values, j, space)
+        for t in points:
+            row = list(values)
+            row[j] = t
+            assert line(t).hex() == rho._score(row, space).hex()
