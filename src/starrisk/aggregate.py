@@ -16,6 +16,7 @@ from .state_space import (
     DomainError,
     LossProfile,
     _check_index_count,
+    _is_integer,
 )
 from .measures import _MONETARY, RiskEvaluator
 from .axioms import _PROBE_BOUND
@@ -82,8 +83,7 @@ class MeasureFamily:
         idx = tuple(indices)
         if not idx:
             raise DomainError("subfamily needs at least one index")
-        # numpy integers count; a bool is an int to Python, not an index
-        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in idx):
+        if not all(map(_is_integer, idx)):
             raise DomainError("member indices must be integers: %r" % (idx,))
         if any(not 0 <= i < self.size for i in idx):
             raise DomainError("member index out of range: %r" % (idx,))
@@ -162,11 +162,11 @@ def order_statistic_capacity(k, r):
     mu(J) = 1 exactly when |J| >= k - r + 1: the (k-r+1)-th largest value
     is the first whose top set reaches that size.
     """
-    k = int(k)
-    r = int(r)
+    k = _check_index_count(k)
+    if not _is_integer(r):
+        raise DomainError("rank must be an integer, got %r" % (r,))
     if not 1 <= r <= k:
         raise DomainError("rank must satisfy 1 <= r <= k, got r=%d, k=%d" % (r, k))
-    _check_index_count(k)
     need = k - r + 1
     table = [1.0 if mask.bit_count() >= need else 0.0 for mask in range(1 << k)]
     return Capacity(k, table)

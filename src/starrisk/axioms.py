@@ -14,6 +14,7 @@ collapse check that subadditivity plus star-shapedness force positive
 homogeneity.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,15 @@ def _witness(x, **extra):
     return out
 
 
+def _check_tol(tol):
+    """Refuse a check tolerance that is negative, infinite or NaN, the rule
+    of the CLI's --tol: NaN and +inf make every comparison pass, a
+    negative one makes exact agreement fail.  Every public check calls it
+    first, directly or through ``check_axiom``."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError("tol must be nonnegative and finite, got %r" % (tol,))
+
+
 def _first_violation(name, cases, tol):
     """Report on ``cases``: one witness dict per failed check, None per
     passed one.  The first failure stops the scan."""
@@ -237,6 +247,7 @@ def check_axiom(rho, which, probes, tol=1e-9):
     Returns an :class:`AxiomReport`; the first violation beyond ``tol``
     stops the scan and is recorded as the witness.
     """
+    _check_tol(tol)
     if which not in _CASES:
         raise DomainError(
             "unsupported property %r; expected one of %s" % (which, SUPPORTED_PROPERTIES)
@@ -302,6 +313,7 @@ def star_acceptance_check(rho, probes, tol=1e-9):
     For each probe with rho(X) <= 0 and each contraction factor in the
     grid, asserts rho(alpha * X) <= tol.
     """
+    _check_tol(tol)
     cases = _deleverage_cases(rho, _usable(rho, probes), probes.scalars, tol)
     return _first_violation("star_acceptance", cases, tol)
 

@@ -19,7 +19,8 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .state_space import Capacity, DomainError, LossProfile, StateSpace
+from .state_space import Capacity, DomainError, LossProfile, StateSpace, \
+    _is_integer
 from .measures import (
     LossBenchmark,
     Utility,
@@ -207,10 +208,17 @@ def _capacity_from(value, k, where):
                 )
             return additive_capacity(weights)
         if "order_statistic" in value:
-            return order_statistic_capacity(k, int(value["order_statistic"]))
+            rank = value["order_statistic"]
+            if not _is_integer(rank):
+                raise CliInputError("%s: capacity rank must be an integer, got %r"
+                                    % (where, rank))
+            return order_statistic_capacity(k, rank)
         if "masks" in value:
-            table = {int(m): float(v) for m, v in value["masks"].items()}
-            return Capacity(k, table)
+            masks = value["masks"]
+            if not isinstance(masks, dict):
+                raise CliInputError("%s: capacity 'masks' must be an object, got %r"
+                                    % (where, masks))
+            return Capacity(k, {int(m): float(v) for m, v in masks.items()})
     raise CliInputError("%s: unrecognized capacity %r" % (where, value))
 
 

@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .state_space import MASS_TOL, DimensionError, DomainError, LossProfile
-from .axioms import _PROBE_BOUND, _first_violation, _usable, check_axiom
+from .axioms import _PROBE_BOUND, _check_tol, _first_violation, _usable, check_axiom
 from .measures import _MONETARY, RiskEvaluator
 from .aggregate import SolverConfig, MeasureFamily, inf_convolution
 
@@ -183,6 +183,7 @@ def min_representation_check(rho, probes, tol=1e-9, domination_samples=50):
     violation; ``rows`` holds one dict per probe all the same, with keys
     x, rho_x, tight_member_value, min_family_value, domination_ok.
     """
+    _check_tol(tol)
     homogeneous = "positively_homogeneous" in rho.claims
     rng = np.random.default_rng((int(probes.seed), 0x0e))
     checks, rows = [], []  # witness-or-None per check; one row per probe
@@ -248,6 +249,7 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9):
       measure-level inf-convolution, and sampled pairs never beat it; the
       splits use ``SolverConfig(starts=6, scan_points=9)``.
     """
+    _check_tol(tol)
     fams = [(rho, list(members)) for rho, members in fams]
     if not fams:
         raise DomainError("need at least one (measure, family) pair")
@@ -345,14 +347,15 @@ _AGGREGATE_CASES = {
 
 @dataclass(frozen=True)
 class PenaltyTable:
-    """Grid conjugates of a convex measure over scenario weightings.
+    """Conjugates of a convex measure over scenario weightings.
 
     ``alpha`` entries are nonnegative up to rounding, possibly +inf.  A
     closed-form entry is the conjugate itself; a finite grid entry is the
-    best grid value found, so it is a lower bound of the conjugate.
-    Groundedness (the finite minimum sitting at 0) is asserted at
-    construction, so tables are only built from scenario lists that
-    reach the measure's dual set.
+    best grid value found, so it is a lower bound of the conjugate.  Any
+    scenario list builds a table; ``reconstruct`` needs it grounded (the
+    finite minimum at 0 within 1e-6), as the penalty of a normalized
+    measure is, so that only lists reaching the measure's dual set
+    reconstruct it.
     """
 
     space: object
@@ -360,24 +363,21 @@ class PenaltyTable:
     alpha: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __post_init__(self):
+    def reconstruct(self, x):
+        """Best lower bound sup_Q (E_Q[x] - alpha(Q)) over the table."""
         finite = self.alpha[np.isfinite(self.alpha)]
-        if finite.size and finite.min() > 1e-6:
+        if not finite.size:
+            raise DomainError("no finite-penalty scenario to reconstruct from")
+        if finite.min() > 1e-6:
             raise DomainError(
                 "penalty table not grounded: min finite alpha is %g"
                 % finite.min()
             )
-
-    def reconstruct(self, x):
-        """Best lower bound sup_Q (E_Q[x] - alpha(Q)) over the table."""
-        vals = [
+        return max(
             float(q @ x.values) - a
             for q, a in zip(self.scenarios, self.alpha)
             if math.isfinite(a)
-        ]
-        if not vals:
-            raise DomainError("no finite-penalty scenario to reconstruct from")
-        return max(vals)
+        )
 
 
 def _grid_points(n, box, per_axis):

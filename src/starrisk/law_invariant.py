@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .state_space import MASS_TOL, VALUE_MERGE_TOL, DomainError, distribution_of
+from .state_space import MASS_TOL, DomainError, _merge_tol, distribution_of
 from .measures import _es_table, es, mean, var, worst_case
 
 __all__ = [
@@ -53,10 +53,10 @@ def _quantiles(d, points):
 
 
 def _slack(x, y):
-    """Comparison slack for two laws: ``VALUE_MERGE_TOL`` times their
-    largest magnitude, the rule by which ``LossDistribution`` merges."""
-    ends = (-x.values[0], x.values[-1], -y.values[0], y.values[-1])
-    return VALUE_MERGE_TOL * float(max(ends))
+    """Comparison slack for two laws: the merge tolerance (``_merge_tol``)
+    of their joint range, the rule by which ``LossDistribution`` merges."""
+    return _merge_tol(float(min(x.values[0], y.values[0])),
+                      float(max(x.values[-1], y.values[-1])))
 
 
 class GeneratorCurve:

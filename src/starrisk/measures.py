@@ -713,6 +713,8 @@ def _scenario_var_measure(label, pick, weight_rows, beta):
     pinned to the rows' common length; each VaR is taken on the row's
     plain atoms, bit for bit the VaR of its law."""
     spaces = [StateSpace(w) for w in weight_rows]
+    if not spaces:
+        raise DomainError("%s needs at least one weight vector" % label)
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise DomainError("scenario weight vectors must share one length")

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .state_space import DimensionError, DomainError, LossProfile, StateSpace
-from .axioms import AxiomReport
+from .axioms import AxiomReport, _check_tol
 from .aggregate import MeasureFamily
 from .measures import RiskEvaluator
 from .envelope import envelope_family, envelope_member_measure
@@ -134,6 +134,7 @@ def decomposition_check(target, table, gammas, tol=1e-9):
     the worst-member measure.  Holds when the two optima agree within
     ``tol`` and the direct argmin action attains the joint optimum.
     """
+    _check_tol(tol)
     return _decomposition(target, table, gammas, tol)[0]
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 # Mass comparisons everywhere in this package use this absolute tolerance.
 MASS_TOL = 1e-12
-# Loss values closer than this times the largest magnitude among them are
-# merged into a single atom.
+# A loss value within this times the largest magnitude among the values of
+# its group's first value merges into that atom; read only by _merge_tol.
 VALUE_MERGE_TOL = 1e-12
 # Sort key of (value, prob) pairs, made once: a key built per call added
 # about 0.15 us to a 4-state law's 2 us.
@@ -176,14 +176,16 @@ def _require_same_space(x, y):
 class LossDistribution:
     """Sorted (value, probability) atoms of a loss; the law-invariant view.
 
-    Values are strictly increasing: atoms closer than 1e-12 times the
-    largest magnitude merge, their probabilities added in state order, the
-    order of ``atoms`` or of a profile's states; ``cum`` holds their
-    running total.  ``atoms`` need finite values and finite, positive
-    probabilities of ``fsum`` mass 1 within 1e-12, checked here where they
-    enter, as a ``StateSpace`` checks its weights; every law is built by
-    ``_build`` on checked input, and a merged law's probabilities carry
-    only the merge's rounding.
+    Values are strictly increasing: an atom within 1e-12 times the largest
+    magnitude (``_merge_tol``) of its group's first value joins that group,
+    its probability added in state order, the order of ``atoms`` or of a
+    profile's states; ``cum`` holds their running total.  Exact ties merge
+    in vector code, near ties in ``_merge_sorted`` (``_merge_arrays``).
+    ``atoms`` need finite values and finite, positive probabilities of
+    ``fsum`` mass 1 within 1e-12, checked here where they enter, as a
+    ``StateSpace`` checks its weights; every law is built by ``_build`` on
+    checked input, and a merged law's probabilities carry only the merge's
+    rounding.
     """
 
     __slots__ = ("values", "probs", "cum")
@@ -229,8 +231,8 @@ def _space_atoms(values, space):
     total of the probabilities.  The space checked its weights where they
     entered; merged atoms' probabilities carry only the merge's rounding.
     """
-    weights = space._plain_probs()
-    vals, probs = _merge_sorted(sorted(zip(values, weights), key=_BY_VALUE))
+    pairs = sorted(zip(values, space._plain_probs()), key=_BY_VALUE)
+    vals, probs = _merge_sorted(pairs, _merge_tol(pairs[0][0], pairs[-1][0]))
     return vals, probs, list(accumulate(probs))
 
 
@@ -240,10 +242,10 @@ def _line_atoms(values, j, space, form, law):
     coordinate line, scored through the line form ``form``.
 
     The n - 1 fixed entries are sorted once, stably, as ``_space_atoms``
-    sorts them, and exact ties among them merge at any tolerance, their
-    weights, checked where they entered, added in state order with only the
-    merge's rounding.  t goes in by one ``bisect_left``.  The first point at
-    an insertion place ``at`` makes that place's probabilities and running
+    sorts them, and exact ties among them merge at any tolerance, by
+    ``_merge_sorted`` at tolerance 0: their weights, checked where they
+    entered, add in state order with only the merge's rounding.  t goes in
+    by one ``bisect_left``.  The first point at an insertion place ``at`` makes that place's probabilities and running
     totals and runs ``form(vals, probs, cum, at)`` once, ``vals`` the sorted
     fixed values; the step it returns scores every later point there.  Those
     lists are ``_space_atoms``' bit for bit, with t at index ``at``,
@@ -251,8 +253,8 @@ def _line_atoms(values, j, space, form, law):
     neighbouring distinct values exceeds the tolerance.  A gap of two fixed
     values that t falls between bounds t's gaps to both, rounding being
     monotone, so testing the smallest fixed gap and t's two neighbours
-    decides it.  The tolerance is taken, as there, from the largest
-    magnitude with t included; where other atoms could merge the row goes to
+    decides it.  The tolerance is ``_merge_tol`` of the range with t
+    included, as there; where other atoms could merge the row goes to
     ``_space_atoms`` and ``law`` unchanged.
     """
     row = list(values)
@@ -260,22 +262,17 @@ def _line_atoms(values, j, space, form, law):
     fixed = list(zip(row, weights))
     del fixed[j]
     fixed.sort(key=_BY_VALUE)
-    vals, probs = [], []
-    for v, p in fixed:
-        if vals and v == vals[-1]:
-            probs[-1] += p
-        else:
-            vals.append(v)
-            probs.append(p)
+    vals, probs = _merge_sorted(fixed, 0.0)
     gap = min(map(sub, vals[1:], vals[:-1]), default=math.inf)
     last, weight = len(vals), weights[j]
     steps = [None] * (last + 1)
+    # the tolerance of every t strictly inside the fixed values' range
+    inner = _merge_tol(vals[0], vals[-1]) if vals else None
 
     def score(t):
         at = bisect_left(vals, t)
-        low = t if at == 0 else vals[0]
-        high = t if at == last else vals[-1]
-        merge_tol = VALUE_MERGE_TOL * max(-low, high)
+        merge_tol = inner if 0 < at < last else _merge_tol(
+            t if at == 0 else vals[0], t if at == last else vals[-1])
         if (gap > merge_tol and (at == 0 or t - vals[at - 1] > merge_tol)
                 and (at == last or vals[at] - t > merge_tol)):
             step = steps[at]
@@ -289,12 +286,17 @@ def _line_atoms(values, j, space, form, law):
     return score
 
 
-def _merge_sorted(pairs):
-    """Merge nonempty sorted (value, prob) pairs into (values, probs)
-    lists: a value within the merge tolerance of the first value kept in
-    its group adds its probability to that group, in order."""
-    # sorted, so the largest magnitude is -min or max
-    merge_tol = VALUE_MERGE_TOL * max(-pairs[0][0], pairs[-1][0])
+def _merge_tol(low, high):
+    """The merge tolerance of values from ``low`` to ``high``: 1e-12 times
+    their largest magnitude."""
+    return VALUE_MERGE_TOL * max(-low, high)
+
+
+def _merge_sorted(pairs, merge_tol):
+    """Merge sorted (value, prob) pairs into (values, probs) lists, the one
+    loop that applies the merge rule: a value within ``merge_tol`` of the
+    first value kept in its group adds its probability to that group, in
+    order.  A tolerance of 0 merges exact ties only."""
     vals, probs = [], []
     for v, p in pairs:
         if vals and v - vals[-1] <= merge_tol:
@@ -315,18 +317,18 @@ def _check_mass(probs):
 
 
 def _merge_arrays(values, probs):
-    """The merge of ``_merge_sorted`` on nonempty float arrays, vectorised;
-    returns (values, probs) arrays.  The probabilities are taken as
-    checked: both builders feed it input checked where it entered.
+    """``_merge_sorted`` of nonempty float arrays at the tolerance of their
+    range (``_merge_tol``); returns (values, probs) arrays.  The
+    probabilities are taken as checked: both builders feed it input checked
+    where it entered.
 
-    Exactly equal values stay in state order, as the stable sort of
-    ``_space_atoms`` leaves them, so their sums add in the same order; the
-    values are sorted stably only once a tie shows.  A gap that overflows
-    is +inf and cuts, as in the pair loop.  A group cut where consecutive
-    values differ by more than the tolerance is also cut by the
-    first-value rule; groups spanning more than the tolerance are then
-    re-cut by that rule.  ``np.bincount`` adds each group's weights in
-    sequence, like the pair loop.
+    Distinct values and exact ties stay in vector code.  Exactly equal
+    values stay in state order, as the stable sort of ``_space_atoms``
+    leaves them, so their sums add in the same order; the values are sorted
+    stably only once a tie shows, and ``np.bincount`` adds each group's
+    weights in sequence, like the pair loop.  A gap that overflows is +inf
+    and cuts, as in the pair loop.  A near tie, a gap that is nonzero and
+    at most the tolerance, hands the sorted pairs to ``_merge_sorted``.
     """
     order = np.argsort(values)
     v = values[order]
@@ -337,22 +339,15 @@ def _merge_arrays(values, probs):
         order = np.argsort(values, kind="stable")
         v = values[order]
     p = probs[order]
-    merge_tol = VALUE_MERGE_TOL * max(-float(v[0]), float(v[-1]))
+    merge_tol = _merge_tol(float(v[0]), float(v[-1]))
     cut = gaps > merge_tol
     if cut.all():
         return v, p
+    if gaps[~cut].any():
+        vals, ps = _merge_sorted(zip(v.tolist(), p.tolist()), merge_tol)
+        return np.array(vals), np.array(ps)
     starts = np.concatenate(([True], cut))
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], v.size) - 1
-    for g in np.flatnonzero(v[last] - v[first] > merge_tol).tolist():
-        lo, hi = int(first[g]), int(last[g])
-        kept = v[lo]
-        for i in range(lo + 1, hi + 1):
-            if v[i] - kept > merge_tol:
-                starts[i] = True
-                kept = v[i]
-    group = np.cumsum(starts) - 1
-    return v[starts], np.bincount(group, weights=p)
+    return v[starts], np.bincount(np.cumsum(starts) - 1, weights=p)
 
 
 def pointwise_leq(x, y):
@@ -397,8 +392,8 @@ class Capacity:
     """Monotone normalized set function on the index set {1..k}, k <= 16.
 
     Subsets are addressed by bitmask: bit ``i-1`` set means index ``i`` is a
-    member.  ``values`` must assign every mask in ``range(2**k)`` a number in
-    [0, 1], with value 0 on the empty set, 1 on the full set, and
+    member.  ``values``, a sequence or a dict keyed by integer masks, must
+    assign every mask in ``range(2**k)`` a number in [0, 1], with value 0 on the empty set, 1 on the full set, and
     ``value(J) <= value(K)`` whenever ``J`` is a subset of ``K``.
     """
 
@@ -415,7 +410,10 @@ class Capacity:
             )
         if isinstance(values, dict):
             for mask, v in values.items():
-                table[int(mask)] = float(v)
+                if not (_is_integer(mask) and 0 <= mask < size):
+                    raise DomainError("capacity mask %r is not an integer in 0..%d"
+                                      % (mask, size - 1))
+                table[mask] = float(v)
         else:
             table[:] = np.asarray(values, dtype=float)
         if abs(table[0]) > MASS_TOL:
@@ -445,7 +443,14 @@ class Capacity:
 def _check_index_count(k):
     """``k`` as an int, refused unless a ``Capacity`` can index that many
     members; table builders call it before building the 2**k entries."""
-    k = int(k)
+    if not _is_integer(k):
+        raise DomainError("capacity index count must be an integer, got %r" % (k,))
     if not 1 <= k <= 16:
-        raise DomainError("capacity index count must be in 1..16")
-    return k
+        raise DomainError("capacity index count must be in 1..16, got %d" % k)
+    return int(k)
+
+
+def _is_integer(value):
+    """True for a Python or numpy integer; a bool is an int to Python, not
+    a count, rank, mask or index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -173,6 +173,23 @@ class TestChoquet:
         with pytest.raises(DomainError):
             order_statistic_capacity(3, 4)
 
+    @pytest.mark.parametrize("k, r, message", [
+        (3, 1.5, "rank must be an integer, got 1.5"),
+        (3, True, "rank must be an integer, got True"),
+        (3, "2", "rank must be an integer"),
+        (2.9, 1, "capacity index count must be an integer, got 2.9"),
+        (False, 1, "capacity index count must be an integer"),
+    ], ids=["fractional-rank", "bool-rank", "text-rank", "fractional-count",
+            "bool-count"])
+    def test_rank_and_count_must_be_integers(self, k, r, message):
+        # before, int() truncated 1.5 to rank 1 and 2.9 to 2 indices
+        with pytest.raises(DomainError, match=message):
+            order_statistic_capacity(k, r)
+
+    def test_numpy_rank_and_count(self):
+        mu = order_statistic_capacity(np.int64(3), np.int64(2))
+        assert mu.index_count == 3 and mu.of(0b011) == 1.0 and mu.of(0b001) == 0.0
+
     def test_size_mismatch(self):
         fam = fam_of([1.0, 2.0])
         with pytest.raises(DimensionError):

@@ -35,6 +35,8 @@ from starrisk.axioms import (
     star_acceptance_check,
 )
 
+from starrisk import envelope, optimize
+
 import oracles
 
 PROBES = default_probe_set(seed=1729, count=120)
@@ -314,3 +316,43 @@ def test_pinned_evaluator_needs_a_probe_of_its_size():
     with pytest.raises(DomainError,
                        match="no probe matches the evaluator's required state count"):
         check_axiom(rho, "monotone", probes)
+
+
+# Every public check with a tolerance, as a call of (rho, probes, tol)
+_TOL_CHECKS = {
+    "check_axiom": lambda rho, probes, tol: check_axiom(rho, "convex", probes, tol=tol),
+    "star_acceptance_check": star_acceptance_check,
+    "coherent_collapse_check": coherent_collapse_check,
+    "min_representation_check": lambda rho, probes, tol:
+        envelope.min_representation_check(rho, probes, tol=tol),
+    "relaxation_member": lambda rho, probes, tol:
+        envelope.relaxation_member(es_measure(0.5), rho, probes, tol=tol),
+    "aggregate_representation_check": lambda rho, probes, tol:
+        envelope.aggregate_representation_check([(rho, [])], "inf", probes, tol=tol),
+    "decomposition_check": lambda rho, probes, tol: optimize.decomposition_check(
+        rho, optimize.ActionLossTable(["a", "b"], [profile([1.0, 2.0]), profile([0.0, 3.0])]),
+        [rho], tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("check", _TOL_CHECKS.values(), ids=list(_TOL_CHECKS))
+def test_checks_refuse_a_tolerance_that_is_not_finite_and_nonnegative(check, tol):
+    # NaN and +inf would pass every comparison, a negative tol fail exact ones
+    probes = default_probe_set(seed=2, count=4)
+    with pytest.raises(DomainError, match="tol must be nonnegative and finite"):
+        check(var_measure(0.75), probes, tol)
+
+
+def test_nan_tolerance_no_longer_flips_verdicts():
+    rho = var_measure(0.75)
+    convex = default_probe_set(seed=2, count=60)
+    assert check_axiom(rho, "convex", convex, tol=1e-9).verdict == "violated"
+    envelope_probes = default_probe_set(seed=3, count=12)
+    assert (envelope.min_representation_check(rho, envelope_probes, tol=1e-9).verdict
+            == "holds_on_sample")
+    for run in (lambda: check_axiom(rho, "convex", convex, tol=math.nan),
+                lambda: envelope.min_representation_check(rho, envelope_probes,
+                                                          tol=math.nan)):
+        with pytest.raises(DomainError):
+            run()

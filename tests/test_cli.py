@@ -7,6 +7,8 @@ tables, robust argmins) so a formatting or convention drift fails loudly
 rather than silently reshuffling JSON.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from starrisk.axioms import SUPPORTED_PROPERTIES
 from starrisk.cli import CliInputError, _KINDS, _clean, _parser, main
@@ -430,11 +433,14 @@ class TestInputErrors:
         {"kind": "lvar", "benchmark_steps": 5},
         {"kind": "maxvar", "beta": 0.5, "members": [["a", "b", "c", "d"]]},
         {"kind": "choquet", "members": ["v"], "capacity": {"order_statistic": "x"}},
+        {"kind": "choquet", "members": ["v"], "capacity": {"order_statistic": 1.5}},
+        {"kind": "choquet", "members": ["v"], "capacity": {"masks": []}},
         {"kind": "choquet", "members": ["v"], "capacity": {"masks": {"a": 1}}},
         {"kind": "choquet", "members": ["v"], "capacity": {"additive": ["x"]}},
         {"kind": "blend", "members": ["v"], "weight": "w"},
     ], ids=["beta-text", "beta-null", "lambda-list", "knot-triple", "steps-number",
-            "maxvar-text-weights", "order-statistic-text", "mask-text",
+            "maxvar-text-weights", "order-statistic-text", "order-statistic-fraction",
+            "masks-list", "mask-text",
             "additive-text", "blend-weight-text"])
     def test_malformed_measure_field(self, entry, tmp_path, capsys):
         bad = tmp_path / "spec.json"
@@ -688,6 +694,40 @@ class TestInputErrors:
             "no aggregate measures",
         )
 
+    @pytest.mark.parametrize("masks", [
+        {"0": 0, "1": 0.5, "2": 0.5, "5": 1},
+        # numpy would read -1 as the full set
+        {"0": 0, "1": 0.5, "2": 0.5, "-1": 1},
+    ], ids=["past-the-full-set", "negative"])
+    def test_capacity_mask_out_of_range(self, masks, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": [
+            {"name": "e", "kind": "es", "beta": 0.5},
+            {"name": "w", "kind": "worst_case"},
+            {"name": "c", "kind": "choquet", "members": ["e", "w"],
+             "capacity": {"masks": masks}},
+        ]}))
+        err = expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            "error: capacity mask ",
+        )
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["maxvar", "medvar"])
+    @pytest.mark.parametrize("members", [[], "", {}], ids=["list", "text", "object"])
+    def test_scenario_var_without_weight_vectors(self, kind, members, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": [
+            {"name": "s", "kind": kind, "beta": 0.5, "members": members},
+        ]}))
+        err = expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            "error: %s needs at least one weight vector" % kind,
+        )
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("entry, fragment", [
         ({"name": "c", "kind": "choquet", "members": "v", "capacity": "sup"},
          "measure 'c': 'members' must be a nonempty list"),
@@ -703,6 +743,91 @@ class TestInputErrors:
             ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
             fragment,
         )
+
+
+# -- the exit contract under malformed specs ------------------------------------
+
+# Field values of the wrong JSON type, not finite, zero, negative, huge or
+# fractional, and empty or nested lists
+_JUNK = [None, True, False, "x", "", {}, {"a": 1}, math.nan, math.inf, -math.inf,
+         0, -1, -0.5, 1e308, -1e308, 10**30, 0.5, 1.5, 2.9,
+         [], [[]], [[[]]], [1.5], [[0.5, 0.5]], [[0.25] * 4, []], ["e", "nope"]]
+_MISSING = object()
+_MASKS = st.dictionaries(
+    st.sampled_from(["0", "1", "2", "3", "5", "16", "-1", "1.5", "x"]),
+    st.sampled_from([0, 0.5, 1, -1, math.nan, "x", []]), max_size=5)
+_CAPACITIES = st.one_of(
+    st.sampled_from(["sup", "inf", "median", "max"]),
+    st.builds(lambda m: {"masks": m}, st.one_of(st.sampled_from(_JUNK), _MASKS)),
+    st.builds(lambda r: {"order_statistic": r},
+              st.one_of(st.sampled_from(_JUNK), st.integers(-2, 4))),
+    st.builds(lambda w: {"additive": w}, st.sampled_from(_JUNK + [[0.5, 0.5]])),
+)
+# one valid value per field; each field draws it, junk, or nothing
+_VALID = {
+    "beta": 0.5, "lambda": 1.0, "weight": 0.5, "capacity": "sup",
+    "benchmark_steps": [[0.0, 0.5], [1.0, 0.75]],
+    "utility_knots": [[-1.0, -3.0], [0.0, 0.0], [1.0, 2.0]],
+}
+_FIELDS = {
+    "var": ["beta"], "es": ["beta"], "lvar": ["benchmark_steps"],
+    "shortfall": ["utility_knots"], "entropic": ["lambda"], "mean": [],
+    "worst_case": [], "maxvar": ["beta", "members"], "medvar": ["beta", "members"],
+    "choquet": ["members", "capacity"], "blend": ["members", "weight"],
+    "margin": ["members"], "infconv": ["members"],
+}
+
+
+@st.composite
+def malformed_entries(draw):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    entry = {"name": "bad", "kind": kind}
+    for field in _FIELDS[kind]:
+        if field != "members":
+            valid = _VALID[field]
+        elif _KINDS[kind][1]:
+            valid = ["e", "w"]
+        else:
+            valid = [[0.25] * 4, [0.1, 0.2, 0.3, 0.4]]
+        junk = _CAPACITIES if field == "capacity" else st.sampled_from(_JUNK)
+        value = draw(st.one_of(st.just(valid), junk, st.just(_MISSING)))
+        if value is not _MISSING:
+            entry[field] = value
+    return entry
+
+
+def test_fields_cover_every_kind():
+    assert set(_FIELDS) == set(_KINDS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["eval", "aggregate"]), malformed_entries(),
+       st.sampled_from([[], ["--seed", "1"]]))
+# specs that escaped with a traceback before the factories checked them
+@example("eval", {"name": "bad", "kind": "maxvar", "beta": 0.5, "members": []}, [])
+@example("aggregate", {"name": "bad", "kind": "choquet", "members": ["e", "w"],
+                       "capacity": {"masks": []}}, [])
+@example("aggregate", {"name": "bad", "kind": "choquet", "members": ["e", "w"],
+                       "capacity": {"masks": {"0": 0, "1": 0.5, "2": 0.5, "5": 1}}}, [])
+def test_malformed_specs_exit_0_or_2(tmp_path_factory, command, entry, seed):
+    # main never raises: 0 with a report, or 2 with one error line
+    work = tmp_path_factory.getbasetemp()
+    spec = work / "fuzz_spec.json"
+    spec.write_text(json.dumps({"measures": [
+        {"name": "e", "kind": "es", "beta": 0.5},
+        {"name": "w", "kind": "worst_case"},
+        entry,
+    ]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--input", str(DATA / "book.csv"), "--spec", str(spec),
+                     "--out", str(work / "fuzz_report.json")] + seed)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 class TestSerialization:

@@ -661,8 +661,18 @@ class TestPenalty:
             penalty_of(gamma, U2, [(0.5, 0.5)], box=1.0, step=0.5)
 
     def test_groundedness_enforced(self):
-        with pytest.raises(DomainError):
-            PenaltyTable(U2, (np.array([0.5, 0.5]),), np.array([0.5]))
+        # a table builds from any scenario list; reconstructing a normalized
+        # measure needs the penalty's zero among its entries
+        table = PenaltyTable(U2, (np.array([0.5, 0.5]),), np.array([0.5]))
+        with pytest.raises(DomainError, match="not grounded: min finite alpha is 0.5"):
+            table.reconstruct(LossProfile(U2, [1.0, 2.0]))
+
+    def test_closed_form_table_without_the_zero_is_built(self):
+        # Q = (0.3, 0.7) is off the entropic penalty's zero at P
+        table = penalty_of(entropic_measure(1.0), U2, [(0.3, 0.7)])
+        want = oracles.entropic_penalty([0.3, 0.7], [0.5, 0.5], 1.0)
+        assert math.isclose(table.alpha[0], want, rel_tol=1e-12)
+        assert want > 0.08
 
     def test_reconstruct_needs_a_finite_entry(self):
         table = PenaltyTable(U2, (np.array([0.3, 0.7]),), np.array([math.inf]))

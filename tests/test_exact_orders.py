@@ -39,6 +39,7 @@ from starrisk.state_space import (
     StateSpace,
     _merge_arrays,
     _merge_sorted,
+    _merge_tol,
     distribution_of,
 )
 
@@ -140,8 +141,8 @@ def test_es_levels_match_fsum_at_10000_states():
 @given(profiles())
 def test_tied_law_matches_pair_build(x):
     values, probs = x.values, x.space.probs
-    merged = _merge_sorted(sorted(zip(values.tolist(), probs.tolist()),
-                                  key=itemgetter(0)))
+    pairs = sorted(zip(values.tolist(), probs.tolist()), key=itemgetter(0))
+    merged = _merge_sorted(pairs, _merge_tol(pairs[0][0], pairs[-1][0]))
     cum = list(accumulate(merged[1]))
     from_atoms = LossDistribution(zip(values.tolist(), probs.tolist()))
     # twice: building a law leaves its space as it found it

@@ -758,7 +758,10 @@ def test_shortfall_replays_the_bisection_at_large_n(n, scale):
      "benchmark times must be strictly increasing"),
     (lambda: max_var_measure([[0.5, 0.5], [0.2, 0.3, 0.5]], 0.5),
      "scenario weight vectors must share one length"),
-], ids=["one-knot", "knots-decreasing", "no-steps", "times-repeated", "ragged-rows"])
+    (lambda: max_var_measure([], 0.5), "maxvar needs at least one weight vector"),
+    (lambda: med_var_measure((), 0.5), "medvar needs at least one weight vector"),
+], ids=["one-knot", "knots-decreasing", "no-steps", "times-repeated", "ragged-rows",
+        "maxvar-no-rows", "medvar-no-rows"])
 def test_parameter_objects_refuse_bad_input(build, message):
     with pytest.raises(DomainError, match=message):
         build()

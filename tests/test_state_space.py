@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from starrisk import state_space
 from starrisk.measures import (
     _PAIR_BUILD_MAX,
     LossBenchmark,
@@ -34,6 +35,7 @@ from starrisk.state_space import (
     distribution_of,
     _merge_arrays,
     _merge_sorted,
+    _merge_tol,
     _space_atoms,
     pointwise_leq,
     quantile_breakpoints,
@@ -234,8 +236,8 @@ PairLaw = namedtuple("PairLaw", "values probs cum")
 @given(atom_arrays())
 def test_array_build_matches_pair_build(arrays):
     values, probs = arrays
-    merged = _merge_sorted(sorted(zip(values.tolist(), probs.tolist()),
-                                  key=itemgetter(0)))
+    pairs = sorted(zip(values.tolist(), probs.tolist()), key=itemgetter(0))
+    merged = _merge_sorted(pairs, _merge_tol(pairs[0][0], pairs[-1][0]))
     ref = PairLaw(*merged, list(accumulate(merged[1])))
     d = LossDistribution(zip(values.tolist(), probs.tolist()))
     for name in ("values", "probs", "cum"):
@@ -258,6 +260,50 @@ def test_law_of_a_profile_matches_pair_build(arrays):
         ref = PairLaw(*_space_atoms(values.tolist(), x.space))
         for name in ("values", "probs", "cum"):
             assert same_bits(getattr(d, name), getattr(ref, name)), name
+
+
+def test_exact_ties_merge_without_the_pair_loop(monkeypatch):
+    # the benchmark's heavily tied shape: 10,000 losses on a half-unit grid
+    rng = np.random.default_rng(3)
+    values = np.round(rng.normal(0.0, 1.5, size=10_000) * 2.0) / 2.0
+    w = rng.uniform(0.5, 1.5, size=10_000)
+    x = LossProfile(StateSpace(w / math.fsum(w.tolist())), values)
+    ref = PairLaw(*_space_atoms(values.tolist(), x.space))
+
+    def refuse(pairs, merge_tol):
+        raise AssertionError("exact ties reached the pair loop")
+
+    monkeypatch.setattr(state_space, "_merge_sorted", refuse)
+    d = distribution_of(x)
+    assert len(d) < 100
+    for name in ("values", "probs", "cum"):
+        assert same_bits(getattr(d, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 1.0 + 2.0**-52, 3.0],
+    # a chain longer than the tolerance: 1.2e-12 starts a new group
+    [0.0, 0.6e-12, 1.2e-12, 1.0],
+    # near and exact ties together, unsorted, with a signed zero
+    [2.0, -0.0, 1e-13, 2.0, 0.0, 2.0 + 1e-12, -5.0, 1e-13],
+], ids=["one-gap", "chain", "mixed"])
+def test_near_ties_take_the_pair_loop_once(monkeypatch, values):
+    values = np.array(values)
+    probs = np.arange(1.0, values.size + 1.0)
+    probs /= math.fsum(probs.tolist())
+    pairs = sorted(zip(values.tolist(), probs.tolist()), key=itemgetter(0))
+    ref = _merge_sorted(pairs, _merge_tol(pairs[0][0], pairs[-1][0]))
+    calls = []
+
+    def counted(pairs, merge_tol):
+        calls.append(merge_tol)
+        return _merge_sorted(pairs, merge_tol)
+
+    monkeypatch.setattr(state_space, "_merge_sorted", counted)
+    merged = _merge_arrays(values, probs)
+    assert len(calls) == 1
+    assert len(ref[0]) < values.size
+    assert same_bits(merged[0], ref[0]) and same_bits(merged[1], ref[1])
 
 
 def test_capacity_validation_and_lookup():
@@ -283,11 +329,30 @@ def test_capacity_validation_and_lookup():
     (lambda: StateSpace.uniform(0), "need at least one state"),
     (lambda: Capacity(2, [0.0, 0.5, 1.0]), "capacity needs a value for each of 4 subsets, got 3"),
     (lambda: Capacity(1, [0.5, 1.0]), "capacity of the empty set must be 0"),
+    (lambda: Capacity(2.0, [0.0, 0.5, 0.5, 1.0]),
+     "capacity index count must be an integer, got 2.0"),
+    (lambda: Capacity(True, [0.0, 1.0]), "capacity index count must be an integer"),
+    (lambda: Capacity(17, {}), r"capacity index count must be in 1\.\.16, got 17"),
 ], ids=["two-d", "nan-weight", "infinite-weight", "no-states", "capacity-length",
-        "capacity-empty-set"])
+        "capacity-empty-set", "fractional-count", "bool-count", "count-too-large"])
 def test_spaces_and_capacities_refuse_bad_input(build, message):
     with pytest.raises(DomainError, match=message):
         build()
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 2**64, True, 1.0, np.float64(1.0), "1"],
+                         ids=["negative", "past-the-full-set", "huge", "bool", "float",
+                              "numpy-float", "text"])
+def test_capacity_refuses_masks_that_are_not_in_range(mask):
+    # before, -1 wrote the full set's entry through numpy's negative index
+    with pytest.raises(DomainError, match=r"capacity mask .* is not an integer in 0\.\.3"):
+        Capacity(2, {0: 0.0, mask: 0.5, 2: 0.5, 3: 1.0})
+
+
+def test_capacity_takes_numpy_integers():
+    masks = np.arange(4)
+    mu = Capacity(np.int64(2), dict(zip(masks, [0.0, 0.25, 0.5, 1.0])))
+    assert mu.index_count == 2 and mu.of(1) == 0.25
 
 
 def test_profile_needs_a_state_space():
