@@ -18,7 +18,7 @@ from .state_space import (
     _check_index_count,
     _is_integer,
 )
-from .measures import _MONETARY, RiskEvaluator
+from .measures import _MONETARY, RiskEvaluator, _charges
 from .axioms import _PROBE_BOUND
 
 __all__ = [
@@ -75,9 +75,10 @@ class MeasureFamily:
         return len(self.members)
 
     def values(self, x):
-        """Member evaluations at x, in member order."""
+        """Member evaluations at x, in member order, bit for bit ``rho(x)``;
+        the members with a law record share one law of x (``_charges``)."""
         self._check(x)
-        return np.array([rho(x) for rho in self.members])
+        return np.array(_charges(self.members, x.values, x.space))
 
     def subfamily(self, indices):
         idx = tuple(indices)
@@ -272,7 +273,7 @@ def normality_check(fam, samples=1000, seed=0):
         v = rng.uniform(-_PROBE_BOUND, _PROBE_BOUND, size=n)
         floor = float(probs @ v)
         row = v.tolist()
-        if any(rho._score(row, fam.space) < floor - 1e-9 for rho in fam.members):
+        if any(c < floor - 1e-9 for c in _charges(fam.members, row, fam.space)):
             certified = False
             break
     if certified:

@@ -24,6 +24,7 @@ from .state_space import Capacity, DomainError, LossProfile, StateSpace, \
 from .measures import (
     LossBenchmark,
     Utility,
+    _charges,
     entropic_measure,
     es_measure,
     lvar_measure,
@@ -321,10 +322,9 @@ def build_measures(spec_obj, space, seed):
         try:
             fam = _member_family(entry, built, space) if aggregate else None
             built[name] = build(entry, fam, seed)
-        except DomainError:
-            raise
         except (TypeError, ValueError) as err:
-            # a malformed field: a value of the wrong type or form
+            # a malformed field: a value of the wrong type or form, or a
+            # parameter out of its domain (DomainError)
             raise CliInputError("measure %r: %s" % (name, err)) from None
         kinds[name] = kind
     return built, kinds
@@ -344,11 +344,12 @@ def _load(args):
 
 def _score(args, wanted):
     """Value every scenario column under the spec measures whose kind is in
-    ``wanted``: (columns, {name: kind} of those measures, results)."""
+    ``wanted``: (columns, {name: kind} of those measures, results).  The
+    measures with a law record score each column on one law of it."""
     _, _, profiles, measures, kinds = _load(args)
     scored = {n: rho for n, rho in measures.items() if kinds[n] in wanted}
     results = {
-        col: {name: rho(x) for name, rho in scored.items()}
+        col: dict(zip(scored, _charges(list(scored.values()), x.values, x.space)))
         for col, x in profiles.items()
     }
     return list(profiles), {n: kinds[n] for n in scored}, results

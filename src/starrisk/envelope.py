@@ -18,7 +18,7 @@ import numpy as np
 
 from .state_space import MASS_TOL, DimensionError, DomainError, LossProfile
 from .axioms import _PROBE_BOUND, _check_tol, _first_violation, _usable, check_axiom
-from .measures import _MONETARY, RiskEvaluator
+from .measures import _MONETARY, RiskEvaluator, _charges
 from .aggregate import SolverConfig, MeasureFamily, inf_convolution
 
 __all__ = [
@@ -263,7 +263,8 @@ def aggregate_representation_check(fams, op, probes, tol=1e-9):
 
     def cases():
         for x in probes.profiles:
-            target, got, ok = case(fams, x, [rho(x) for rho, _ in fams], tol, rng)
+            rho_vals = _charges([rho for rho, _ in fams], x.values, x.space)
+            target, got, ok = case(fams, x, rho_vals, tol, rng)
             yield None if ok else {"x": x.values.copy(), "target": target, "got": got}
 
     return _first_violation("aggregate_representation[%s]" % op, cases(), tol)

@@ -59,9 +59,27 @@ KNOWN_CLAIMS = frozenset(
 
 
 # Up to this many states a kernel on plain lists beats the numpy law,
-# whose per-call overhead dominates at small n; ``RiskEvaluator._score``
-# and ``_line`` send larger profiles to ``fn``.
+# whose per-call overhead dominates at small n; ``_law_of`` and ``_line``
+# hand larger profiles to the numpy law.
 _PAIR_BUILD_MAX = 64
+
+
+def _law_of(values, space):
+    """The law of the loss ``values`` (a float list or array) on ``space``
+    in the form a law record scores, the one place that chooses it: up to
+    64 states the plain atoms of ``_space_atoms``, a tuple, for the
+    kernel; above that ``distribution_of``, for the primitive."""
+    if space.n <= _PAIR_BUILD_MAX:
+        return _space_atoms(values if isinstance(values, list) else values.tolist(), space)
+    return distribution_of(LossProfile(space, values, _validate=False))
+
+
+def _charges(members, values, space):
+    """``[rho._score(values, space) for rho in members]``, bit for bit, on one
+    law (``_law_of``) for all members with a law record; the others
+    (shortfall, aggregates, opaque evaluators) score themselves."""
+    law = _law_of(values, space) if any(rho._law for rho in members) else None
+    return [rho._score(values, space, law) for rho in members]
 
 
 class RiskEvaluator:
@@ -84,17 +102,18 @@ class RiskEvaluator:
     The law-invariant factories (VaR, ES, mean, worst case, entropic and
     LVaR) refuse bad parameters when called, with the primitive's
     ``DomainError``, and give their evaluator one record, ``_law``: a
-    kernel of the law's sorted atoms as plain lists, with the parameters
-    bound, and for ES and worst case its line form; and the dual fields,
-    a box level or an entropic parameter.  Profiles of up to 64 states
-    are scored by the kernel, which skips numpy's per-call overhead and
-    returns the same float bit for bit; larger profiles go through
-    ``fn``.  The split solver, the normality gate and the penalty grid
-    hand their rows to ``_score`` as plain lists.  Along the split
-    search's coordinate lines only one entry moves, and ``_line`` scores
-    the ES and worst-case lines on a law kept sorted for the whole line,
-    through the line form, which keeps the kernel's terms per insertion
-    place.
+    kernel of the law's sorted atoms as plain lists and the primitive of
+    its ``LossDistribution`` (``fn`` of ``distribution_of``), with the
+    parameters bound, and for ES and worst case its line form; and the
+    dual fields, a box level or an entropic parameter.  Profiles of up to
+    64 states are scored by the kernel, which skips numpy's per-call
+    overhead and returns the same float bit for bit, larger ones by the
+    primitive (``_law_of``); ``_charges`` scores several evaluators on one
+    law.  The split solver, the normality gate and the penalty grid hand
+    their rows to ``_score`` as plain lists.  Along the split search's
+    coordinate lines only one entry moves, and ``_line`` scores the ES and
+    worst-case lines on a law kept sorted for the whole line, through the
+    line form, which keeps the kernel's terms per insertion place.
 
     The box level is the ES level of mean (0), ES and worst case (1).
     Their dual sets are boxes cut from the probability simplex, nested by
@@ -119,15 +138,17 @@ class RiskEvaluator:
     def evaluate(self, x):
         return self._score(x.values, x.space)
 
-    def _score(self, values, space):
+    def _score(self, values, space, law=None):
         """Charge of the loss ``values`` (a float list or array) on ``space``:
-        by the kernel when there is one and n <= 64, else by ``fn`` on a
-        profile of the values."""
-        if self._law is not None and space.n <= _PAIR_BUILD_MAX:
-            if not isinstance(values, list):
-                values = values.tolist()
-            return float(self._law.score(*_space_atoms(values, space)))
-        return float(self._fn(LossProfile(space, values, _validate=False)))
+        with a law record, by its kernel of the plain atoms or its primitive
+        of the distribution that ``_law_of`` makes of them, unless ``law``
+        already holds that; else by ``fn`` on a profile of the values."""
+        record = self._law
+        if record is None:
+            return float(self._fn(LossProfile(space, values, _validate=False)))
+        if law is None:
+            law = _law_of(values, space)
+        return float(record.score(*law) if type(law) is tuple else record.primitive(law))
 
     def _line(self, values, j, space):
         """``_score`` of the float list ``values`` with entry ``j`` set to t,
@@ -640,11 +661,12 @@ _MONETARY = ("monotone", "translation_invariant", "normalized")
 _COHERENT = _MONETARY + ("positively_homogeneous", "star_shaped", "subadditive", "convex")
 
 
-# What a law factory knows of its measure: ``score``, the kernel, and
-# ``line``, its line form or None, each with the measure's parameters
-# bound; ``level``, the ES level of a box-dual primitive, else None; and
-# ``lam``, the entropic parameter, else None.
-_Law = namedtuple("_Law", "score line level lam")
+# What a law factory knows of its measure: ``score``, the kernel of the
+# plain atoms; ``primitive``, the measure of a ``LossDistribution``; and
+# ``line``, the kernel's line form or None; each with the measure's
+# parameters bound; ``level``, the ES level of a box-dual primitive, else
+# None; and ``lam``, the entropic parameter, else None.
+_Law = namedtuple("_Law", "score primitive line level lam")
 
 
 def _law_measure(name, claims, primitive, kernel, *params, line=None, level=None,
@@ -652,11 +674,12 @@ def _law_measure(name, claims, primitive, kernel, *params, line=None, level=None
     """Evaluator of ``primitive(distribution_of(x), *params)`` that scores
     small profiles by ``kernel(*params, values, probs, cum)``, for
     parameters the caller has checked; ``line`` is the kernel's own line
-    form, if it has one."""
-    rho = RiskEvaluator(
-        name, lambda x: primitive(distribution_of(x), *params), claims
-    )
-    rho._law = _Law(partial(kernel, *params), line and partial(line, *params), level, lam)
+    form, if it has one; ``fn`` is the record's ``primitive`` of
+    ``distribution_of``."""
+    record = _Law(partial(kernel, *params), lambda d: primitive(d, *params),
+                  line and partial(line, *params), level, lam)
+    rho = RiskEvaluator(name, lambda x: record.primitive(distribution_of(x)), claims)
+    rho._law = record
     return rho
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .state_space import DimensionError, DomainError, LossProfile, StateSpace
 from .axioms import AxiomReport, _check_tol
 from .aggregate import MeasureFamily
-from .measures import RiskEvaluator
+from .measures import RiskEvaluator, _charges
 from .envelope import envelope_family, envelope_member_measure
 
 __all__ = [
@@ -202,7 +202,8 @@ def mitigated_measure(per_action):
     Each action carries the convex criterion faced after that
     mitigation is chosen.  The minimum stays monotone and cash additive
     and is star-shaped, but distinct members generally break convexity,
-    which is the point of the construction.
+    which is the point of the construction.  The members with a law
+    record score each X on one law of it (``measures._charges``).
     """
     items = list(per_action.items())
     if not items:
@@ -227,7 +228,7 @@ def mitigated_measure(per_action):
     name = "mitigated[%s]" % "|".join(str(a) for a, _ in items)
     return RiskEvaluator(
         name,
-        lambda x: min(rho(x) for rho in members),
+        lambda x: min(_charges(members, x.values, x.space)),
         claims,
         required_n=pinned.pop() if pinned else None,
     )

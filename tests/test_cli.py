@@ -710,7 +710,7 @@ class TestInputErrors:
         err = expect_input_error(
             capsys,
             ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
-            "error: capacity mask ",
+            "error: measure 'c': capacity mask ",
         )
         assert err.count("\n") == 1
 
@@ -724,9 +724,23 @@ class TestInputErrors:
         err = expect_input_error(
             capsys,
             ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
-            "error: %s needs at least one weight vector" % kind,
+            "error: measure 's': %s needs at least one weight vector" % kind,
         )
         assert err.count("\n") == 1
+
+    def test_first_of_two_bad_entries_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "spec.json"
+        bad.write_text(json.dumps({"measures": [
+            {"name": "v", "kind": "var", "beta": 0.5},
+            {"name": "a", "kind": "maxvar", "beta": 0.5, "members": []},
+            {"name": "b", "kind": "var", "beta": 2.0},
+        ]}))
+        err = expect_input_error(
+            capsys,
+            ["eval", "--input", str(DATA / "book.csv"), "--spec", str(bad)],
+            "error: measure 'a': maxvar needs at least one weight vector",
+        )
+        assert "'b'" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("entry, fragment", [
         ({"name": "c", "kind": "choquet", "members": "v", "capacity": "sup"},

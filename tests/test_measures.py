@@ -18,8 +18,10 @@ from starrisk.state_space import (
     _space_atoms,
     distribution_of,
 )
+from starrisk.aggregate import MeasureFamily, choquet_measure, order_statistic_capacity
 from starrisk.measures import (
     RiskEvaluator,
+    _charges,
     _es_table,
     LossBenchmark,
     Utility,
@@ -765,3 +767,79 @@ def test_shortfall_replays_the_bisection_at_large_n(n, scale):
 def test_parameter_objects_refuse_bad_input(build, message):
     with pytest.raises(DomainError, match=message):
         build()
+
+
+# -- one law per profile for a family -------------------------------------------
+
+def shared_law_members(space, beta, lam, rnd):
+    """Law members (VaR, ES, mean, worst case, entropic, LVaR) and members
+    without a law record (shortfall, a Choquet median and an opaque ES),
+    shuffled."""
+    es_b = es_measure(beta)
+    laws = [var_measure(beta), es_b, mean_measure(), worst_case_measure(),
+            entropic_measure(lam), lvar_measure(LossBenchmark([(0.0, 0.5), (1.0, 0.9)]))]
+    inner = MeasureFamily(laws[:3], space)
+    members = laws + [shortfall_measure(Utility(STAR_KNOTS)),
+                      choquet_measure(inner, order_statistic_capacity(3, 2)),
+                      RiskEvaluator("opaque_es", es_b._fn, es_b.claims)]
+    rnd.shuffle(members)
+    return members[:rnd.randint(1, len(members))]
+
+
+@st.composite
+def shared_law_profiles(draw):
+    """Profiles of 1 to 300 states, on both sides of the kernels' cutoff,
+    with non-uniform weights, exact ties, chains of near-merge steps and
+    magnitudes 1e-12 to 1e12; the per-state draws come from a seeded
+    generator."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([3, 1000]))
+    ints = rng.integers(-spread, spread + 1, size=n)
+    steps = rng.integers(0, 6, size=n)
+    weights = rng.integers(1, 5, size=n).astype(float)
+    step = draw(st.sampled_from([0.0, 0.3e-12, 0.9e-12])) * spread
+    scale = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(-12, 12))
+    return LossProfile(StateSpace(weights / weights.sum()), (ints + step * steps) * scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_law_profiles(), st.sampled_from([0.1, 0.5, 0.9, 0.975]), POSITIVE_LAMBDAS,
+       st.integers(0, 2**32 - 1))
+def test_charges_match_each_member_bit_for_bit(x, beta, lam, seed):
+    members = shared_law_members(x.space, beta, lam, random.Random(seed))
+    want = [rho(x).hex() for rho in members]
+    for values in (x.values, x.values.tolist()):
+        assert [v.hex() for v in _charges(members, values, x.space)] == want
+    assert [v.hex() for v in MeasureFamily(members, x.space).values(x).tolist()] == want
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+@pytest.mark.parametrize("n, builds, with_shortfall", [
+    (1024, {"distribution_of": 1, "_space_atoms": 0}, False),
+    (4, {"distribution_of": 0, "_space_atoms": 1}, False),
+    (1024, {"distribution_of": 2, "_space_atoms": 0}, True),
+    (4, {"distribution_of": 1, "_space_atoms": 1}, True),
+])
+def test_a_family_builds_one_law_per_profile(monkeypatch, n, builds, with_shortfall):
+    """The law members share one build per call; shortfall, without a law
+    record, makes its own."""
+    import starrisk.measures as measures
+
+    rng = np.random.default_rng(n)
+    weights = rng.uniform(0.5, 1.5, size=n)
+    space = StateSpace(weights / weights.sum())
+    x = LossProfile(space, rng.standard_t(5, size=n))
+    members = [var_measure(0.9), es_measure(0.8), mean_measure()]
+    if with_shortfall:
+        members.append(shortfall_measure(Utility(STAR_KNOTS)))
+    fam = MeasureFamily(members, space)
+    counts = {name: count_calls(monkeypatch, measures, name) for name in builds}
+    fam.values(x)
+    assert {name: len(c) for name, c in counts.items()} == builds
